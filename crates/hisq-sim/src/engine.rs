@@ -24,7 +24,7 @@ use crate::backend::QuantumBackend;
 use crate::config::{LinkReport, SimConfig, SimError, SimReport};
 use crate::events::{EventKind, LinkQueue, QubitList, ReplayAction};
 use crate::nodes::{NodeId, QuantumAction, SimNode};
-use crate::queue::{CalendarQueue, EngineQueue, EventQueue, HeapQueue};
+use crate::queue::{CalendarQueue, EventQueue};
 use crate::spec::Arena;
 use crate::telf::Telf;
 
@@ -140,13 +140,11 @@ pub struct System {
     /// `(from, to)` arena-id pair. Empty while the fabric is transparent.
     link_queues: BTreeMap<(NodeId, NodeId), LinkQueue>,
 
-    /// The future-event queue: the production calendar queue, or the
-    /// retained heap reference when [`System::use_reference_queue`]
-    /// selected the differential oracle.
-    queue: EngineQueue<EventKind>,
+    /// The future-event queue.
+    queue: CalendarQueue<EventKind>,
     /// Gate-replay ordering folded onto the same queue structure;
     /// items index `gate_store`.
-    gate_queue: EngineQueue<usize>,
+    gate_queue: CalendarQueue<usize>,
     gate_store: Vec<ReplayAction>,
     /// Reused controller-step outbox (see [`Scratch`]).
     outbox_scratch: Vec<hisq_core::OutboundMessage>,
@@ -250,8 +248,8 @@ impl System {
             edge_models,
             fabric_transparent,
             link_queues: BTreeMap::new(),
-            queue: EngineQueue::Calendar(scratch.events),
-            gate_queue: EngineQueue::Calendar(scratch.gates),
+            queue: scratch.events,
+            gate_queue: scratch.gates,
             gate_store: scratch.gate_store,
             outbox_scratch: scratch.outbox,
             commit_scratch: scratch.commits,
@@ -345,16 +343,6 @@ impl System {
     /// Mutable access to the quantum backend.
     pub fn backend_mut(&mut self) -> &mut dyn QuantumBackend {
         self.backend.as_mut()
-    }
-
-    /// Swaps both event queues for the retained `BinaryHeap` reference
-    /// implementation — the differential-oracle half of a wheel-vs-heap
-    /// comparison run. Call before [`System::run`]; events already
-    /// queued would be dropped.
-    pub fn use_reference_queue(&mut self) {
-        debug_assert!(self.queue.is_empty() && self.gate_queue.is_empty());
-        self.queue = EngineQueue::Reference(HeapQueue::new());
-        self.gate_queue = EngineQueue::Reference(HeapQueue::new());
     }
 
     /// Starts recording the pop order of the main event queue as a
@@ -1063,21 +1051,12 @@ impl Drop for System {
     /// Retires the hot-loop buffers to the per-thread pool so the next
     /// system built on this thread (the common [`SweepRunner`]
     /// worker pattern) starts with pre-grown rings and scratch vectors.
-    /// Only the production calendar queues are pooled; a reference-queue
-    /// (differential oracle) system just drops its heaps.
     ///
     /// [`SweepRunner`]: crate::sweep::SweepRunner
     fn drop(&mut self) {
-        let events = mem::replace(&mut self.queue, EngineQueue::Reference(HeapQueue::new()));
-        let gates = mem::replace(
-            &mut self.gate_queue,
-            EngineQueue::Reference(HeapQueue::new()),
-        );
-        let (EngineQueue::Calendar(mut events), EngineQueue::Calendar(mut gates)) = (events, gates)
-        else {
-            return;
-        };
+        let mut events = mem::take(&mut self.queue);
         events.clear();
+        let mut gates = mem::take(&mut self.gate_queue);
         gates.clear();
         let mut gate_store = mem::take(&mut self.gate_store);
         gate_store.clear();

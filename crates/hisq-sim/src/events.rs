@@ -73,8 +73,14 @@ impl EventKind {
         fn mix(hash: u64, value: u64) -> u64 {
             splitmix64(hash ^ value.wrapping_mul(0x9e37_79b9_7f4a_7c15))
         }
-        fn payload_digest(payload: &Payload) -> u64 {
-            match *payload {
+        // By value and always inlined: a reference escaping into an
+        // out-of-line digest makes the engine spill every popped event
+        // to the stack in pieces, trace on or off, and reload fields
+        // across those piecewise stores — a store-forwarding stall that
+        // cost ~15% ns/event in `event_engine` on an x86-64 Xeon.
+        #[inline(always)]
+        fn payload_digest(payload: Payload) -> u64 {
+            match payload {
                 Payload::SyncPulse => mix(0x51, 0),
                 Payload::BookTime { target, time_point } => {
                     mix(mix(0x52, u64::from(target)), time_point)
@@ -86,7 +92,7 @@ impl EventKind {
         match *self {
             EventKind::Deliver { from, to, payload } => mix(
                 mix(mix(0x01, u64::from(from)), u64::from(to)),
-                payload_digest(&payload),
+                payload_digest(payload),
             ),
             EventKind::MeasResolve {
                 node,
@@ -99,7 +105,7 @@ impl EventKind {
                     mix(
                         mix(
                             mix(mix(0x03, link_key), u64::from(resend.to)),
-                            payload_digest(&resend.payload),
+                            payload_digest(resend.payload),
                         ),
                         resend.latency,
                     ),

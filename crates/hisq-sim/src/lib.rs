@@ -113,7 +113,7 @@ pub use engine::System;
 pub use hisq_net::{DropPolicy, FabricMap, LinkModel, RouterError};
 pub use hisq_quantum::{NoiseMap, NoiseModel, OpCounts};
 pub use nodes::{Hub, MeasBinding, QuantumAction};
-pub use queue::{CalendarQueue, EngineQueue, EventQueue, HeapQueue};
+pub use queue::{CalendarQueue, EventQueue};
 pub use spec::{BackendSpec, SystemSpec};
 pub use sweep::{Metric, MetricSummary, SweepGrid, SweepRecord, SweepReport, SweepRunner};
 pub use telf::{Telf, TelfRecord};

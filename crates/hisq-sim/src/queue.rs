@@ -1,9 +1,7 @@
 //! The event-queue abstraction of the discrete-event core: a small
-//! [`EventQueue`] trait with two implementations — the production
-//! [`CalendarQueue`] (a bucketed calendar queue / timing wheel) and the
-//! retained [`HeapQueue`] reference (the historical
-//! `BinaryHeap<Reverse<_>>` ordering), kept so the two can be run
-//! differentially against each other.
+//! [`EventQueue`] trait, implemented by the engine's [`CalendarQueue`]
+//! (a bucketed calendar queue / timing wheel) and by the [`HeapQueue`]
+//! test oracle (the historical `BinaryHeap<Reverse<_>>` ordering).
 //!
 //! # Ordering contract
 //!
@@ -11,10 +9,12 @@
 //! and *push order within a cycle* (the `seq` tie-break is assigned
 //! internally at push time). FIFO-within-cycle is load-bearing — the
 //! sweep engine's byte-identical JSON contract rests on same-cycle
-//! events replaying in exactly the order they were scheduled, so a
-//! queue swap must preserve pop order bit-for-bit, which is what
-//! `crates/hisq-sim/tests/queue_equivalence.rs` (proptest differential
-//! oracle) and the engine-trace replay tests prove.
+//! events replaying in exactly the order they were scheduled, so the
+//! calendar queue must match the heap's pop order bit-for-bit. The
+//! proptest differential oracle in
+//! `crates/hisq-sim/tests/queue_equivalence.rs` proves that at the
+//! queue API, and `tests/queue_trace_replay.rs` pins the engine's pop
+//! traces over the golden corpus to fingerprints taken from the heap.
 //!
 //! # Calendar layout
 //!
@@ -27,9 +27,14 @@
 //! - **overflow** — a `BTreeMap` rung for far-future timers
 //!   (`cycle - current >= HORIZON`), migrated into ring buckets when
 //!   the window advances past them;
-//! - **late** — events pushed *behind* `current` (a scheduler pushing
-//!   into the past); these always pop first, exactly as the reference
-//!   heap would pop them.
+//! - **late** — events pushed *behind* `current`; these always pop
+//!   first, exactly as the heap would pop them. This rung carries real
+//!   engine traffic, not a corner case: `next_at` settles the window
+//!   forward to the next resident event, so a caller that peeks
+//!   (the engine's gate replay drains with `pop_through`) and then
+//!   schedules at an earlier cycle lands behind `current`. Unlike a
+//!   strictly monotone scheduler, the queue must keep accepting these
+//!   back-in-time pushes.
 //!
 //! The `seq` counter uses **checked** arithmetic: wrapping it would
 //! silently reorder same-cycle events, so exhausting the counter
@@ -561,11 +566,10 @@ impl<T> PartialOrd for HeapEntry<T> {
     }
 }
 
-/// The reference implementation: the historical
-/// `BinaryHeap<Reverse<(at, seq)>>` ordering, retained as the
-/// differential oracle the calendar queue is proven against (and
-/// selectable on a built [`System`](crate::System) via
-/// [`use_reference_queue`](crate::System::use_reference_queue)).
+/// The test oracle: the historical `BinaryHeap<Reverse<(at, seq)>>`
+/// ordering the calendar queue is proven against. No engine code uses
+/// it; it is public only so the `queue_equivalence` integration suite
+/// can drive it.
 #[derive(Debug, Clone)]
 pub struct HeapQueue<T> {
     heap: BinaryHeap<Reverse<HeapEntry<T>>>,
@@ -579,7 +583,7 @@ impl<T> Default for HeapQueue<T> {
 }
 
 impl<T> HeapQueue<T> {
-    /// An empty reference queue.
+    /// An empty heap queue.
     pub fn new() -> HeapQueue<T> {
         HeapQueue {
             heap: BinaryHeap::new(),
@@ -620,54 +624,6 @@ impl<T> EventQueue<T> for HeapQueue<T> {
     fn clear(&mut self) {
         self.heap.clear();
         self.seq = 0;
-    }
-}
-
-/// The engine's queue slot: the production calendar queue, or the heap
-/// reference when a differential run was requested. An enum (not a
-/// `dyn` box) so the hot loop dispatches with a predictable branch.
-#[derive(Debug, Clone)]
-pub enum EngineQueue<T> {
-    /// The production bucketed calendar queue.
-    Calendar(CalendarQueue<T>),
-    /// The retained binary-heap reference implementation.
-    Reference(HeapQueue<T>),
-}
-
-impl<T> EventQueue<T> for EngineQueue<T> {
-    fn push(&mut self, at: u64, item: T) {
-        match self {
-            EngineQueue::Calendar(q) => q.push(at, item),
-            EngineQueue::Reference(q) => q.push(at, item),
-        }
-    }
-
-    fn pop(&mut self) -> Option<(u64, T)> {
-        match self {
-            EngineQueue::Calendar(q) => q.pop(),
-            EngineQueue::Reference(q) => q.pop(),
-        }
-    }
-
-    fn next_at(&mut self) -> Option<u64> {
-        match self {
-            EngineQueue::Calendar(q) => q.next_at(),
-            EngineQueue::Reference(q) => q.next_at(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            EngineQueue::Calendar(q) => q.len(),
-            EngineQueue::Reference(q) => q.len(),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            EngineQueue::Calendar(q) => q.clear(),
-            EngineQueue::Reference(q) => q.clear(),
-        }
     }
 }
 

@@ -11,7 +11,7 @@
 //! dense node id so the event loop never walks an address map.
 //!
 //! This is the **only** construction path for a [`System`]: the
-//! experiment harness (`distributed_hisq::runner::build_system`), the
+//! experiment harness (`distributed_hisq::runner::system_spec`), the
 //! figure reproductions, the examples, and the integration tests all
 //! describe their deployment as a spec and build it.
 //!

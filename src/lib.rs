@@ -43,7 +43,7 @@
 //! ```
 
 //! The [`runner`] module is the facade-level experiment harness: it
-//! glues the compiler to the simulator ([`runner::build_system`]) and
+//! glues the compiler to the simulator ([`runner::system_spec`]) and
 //! drives whole parameter sweeps end to end — compile → place →
 //! simulate → aggregate — via [`runner::Scenario`] and
 //! [`runner::run_sweep`] on the [`sim::sweep`] worker pool.

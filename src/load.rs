@@ -80,9 +80,7 @@ use hisq_sim::queue::{CalendarQueue, EventQueue};
 use hisq_sim::SweepRecord;
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::runner::{
-    run_scenario_from_artifact, CompileCache, RunnerError, Scenario, ScenarioReport,
-};
+use crate::runner::{run_from_artifact, CompileCache, RunnerError, Scenario, ScenarioReport};
 use crate::stats::percentile_nearest_rank;
 use crate::testing::fnv1a64;
 
@@ -766,7 +764,7 @@ pub fn run_load(scenario: &Scenario, cache: &CompileCache) -> Result<LoadOutcome
             ServiceModel::Simulated => {
                 let mut inner = job_type.clone();
                 inner.seed = job_seed;
-                let record = run_scenario_from_artifact(&inner, artifact.clone())?;
+                let record = run_from_artifact(&inner, &artifact)?;
                 record
                     .counter("makespan_ns")
                     .ok_or_else(|| RunnerError::Load {

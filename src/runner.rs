@@ -16,7 +16,7 @@
 //!    into a deterministic [`SweepReport`] — the substrate behind every
 //!    `fig*`/`table1` binary's `--threads N --json` path.
 //!
-//! The lower-level pieces ([`build_system`], [`run_compiled`]) stay
+//! The lower-level pieces ([`system_spec`], [`build_system`]) stay
 //! public for callers that bring their own compiled programs.
 //!
 //! # Example
@@ -55,14 +55,13 @@ use hisq_compiler::{
     LockstepOptions, Scheme, PORT_READOUT,
 };
 use hisq_core::{NodeAddr, NodeConfig};
-use hisq_isa::CYCLE_NS;
 use hisq_json::{Json, JsonError, ObjReader};
 use hisq_net::json::{edge_override_from_json, edge_override_to_json};
 use hisq_net::{FabricMap, LinkModel, Topology, TopologyBuilder};
 use hisq_quantum::{CoherenceParams, ExposureLedger, NoiseMap, NoiseModel};
 use hisq_sim::{
-    BackendSpec, Hub, QuantumAction, QuantumBackend, SimError, SimReport, SweepRecord, SweepReport,
-    SweepRunner, System, SystemSpec,
+    BackendSpec, Hub, QuantumAction, SimError, SweepRecord, SweepReport, SweepRunner, System,
+    SystemSpec,
 };
 use hisq_workloads::WorkloadSpec;
 
@@ -102,8 +101,8 @@ pub enum RunnerError {
         id: String,
     },
     /// Building or running the simulator failed (the scenario id is
-    /// empty when the error came from the lower-level
-    /// [`build_system`]/[`run_compiled`] entry points).
+    /// empty when the error came from the lower-level [`build_system`]
+    /// entry point).
     Sim {
         /// Scenario id, or `""` outside a scenario context.
         id: String,
@@ -257,11 +256,7 @@ pub fn system_spec(
             spec
         }
     };
-    apply_bindings(
-        &mut spec,
-        &compiled.bindings,
-        compiled.durations.measurement,
-    );
+    apply_bindings(&mut spec, &compiled.bindings);
     Ok(spec)
 }
 
@@ -282,7 +277,7 @@ pub fn build_system(
 }
 
 /// Installs codeword bindings into a system description.
-fn apply_bindings(spec: &mut SystemSpec, bindings: &[Binding], meas_latency: u64) {
+fn apply_bindings(spec: &mut SystemSpec, bindings: &[Binding]) {
     for binding in bindings {
         match &binding.action {
             BindingAction::Gate { gate, qubits } => {
@@ -298,7 +293,6 @@ fn apply_bindings(spec: &mut SystemSpec, bindings: &[Binding], meas_latency: u64
             }
             BindingAction::Measure { qubit } => {
                 debug_assert_eq!(binding.port, PORT_READOUT);
-                let _ = meas_latency; // result latency comes from SimConfig durations
                 spec.bind(
                     binding.node,
                     binding.port,
@@ -317,42 +311,6 @@ fn apply_bindings(spec: &mut SystemSpec, bindings: &[Binding], meas_latency: u64
             BindingAction::Pulse => {}
         }
     }
-}
-
-/// The outcome of one compiled-and-simulated run: the simulator report
-/// plus the paper's derived metrics.
-#[derive(Debug, Clone)]
-pub struct RunMetrics {
-    /// Engine report (makespan, stalls, instruction counts, …).
-    pub report: SimReport,
-    /// End-to-end program runtime in nanoseconds.
-    pub runtime_ns: u64,
-    /// Circuit infidelity under the given coherence parameters
-    /// (Figure 16's metric).
-    pub infidelity: f64,
-}
-
-/// Compiles-in-place convenience: builds, runs, and summarizes a system.
-///
-/// # Errors
-///
-/// Propagates [`RunnerError`] from system construction or the run.
-pub fn run_compiled(
-    compiled: &CompiledSystem,
-    topology: Option<&Topology>,
-    backend: impl QuantumBackend + 'static,
-    coherence: CoherenceParams,
-) -> Result<RunMetrics, RunnerError> {
-    let mut system = build_system(compiled, topology)?;
-    system.set_backend(backend);
-    let report = system.run().map_err(RunnerError::sim)?;
-    let runtime_ns = report.makespan_cycles * CYCLE_NS;
-    let infidelity = system.exposure().infidelity(coherence);
-    Ok(RunMetrics {
-        report,
-        runtime_ns,
-        infidelity,
-    })
 }
 
 /// A spec-surgery transform: a declarative edit applied to a scenario
@@ -1096,18 +1054,12 @@ impl Scenario {
     /// link model — the axes the paper figures actually sweep.
     pub fn compile_key(&self) -> CompileKey {
         // Scenario-level surgery folds into the effective inputs the
-        // same way `compile_scenario` applies it: the last workload
-        // swap wins; link-model and noise overrides are run-stage
-        // parameters the compiler never sees. The load block is
+        // same way `compile_scenario` applies it (the workload through
+        // `effective_workload`); link-model and noise overrides are
+        // run-stage parameters the compiler never sees. The load block is
         // run-stage too (the job engine schedules *instances* of the
         // compiled program), so a load sweep's grid points share one
         // artifact with their unloaded twin.
-        let mut workload = self.workload.clone();
-        for op in &self.surgery {
-            if let SurgeryOp::SwapWorkload { workload: w } = op {
-                workload = w.clone();
-            }
-        }
         let topology_surgery = self
             .surgery
             .iter()
@@ -1146,7 +1098,7 @@ impl Scenario {
             None
         };
         CompileKey {
-            workload_json: workload.to_json().to_string_compact(),
+            workload_json: effective_workload(self).to_json().to_string_compact(),
             scheme: match self.scheme {
                 Scheme::Bisp => 0,
                 Scheme::Lockstep => 1,
@@ -1160,6 +1112,22 @@ impl Scenario {
             fabric,
         }
     }
+}
+
+/// The workload a scenario actually compiles: its own, unless a
+/// [`SurgeryOp::SwapWorkload`] replaces it (the last swap wins). Both
+/// [`Scenario::compile_key`] and the compile stage read it here, so the
+/// cache key and the compiled program can never disagree.
+fn effective_workload(scenario: &Scenario) -> &WorkloadSpec {
+    scenario
+        .surgery
+        .iter()
+        .rev()
+        .find_map(|op| match op {
+            SurgeryOp::SwapWorkload { workload } => Some(workload),
+            _ => None,
+        })
+        .unwrap_or(&scenario.workload)
 }
 
 /// The effective heterogeneity maps of a scenario: the parameter-level
@@ -1353,6 +1321,21 @@ impl CompileCache {
         }
         result.clone()
     }
+
+    /// Runs `scenario` with its compile stage served from this cache —
+    /// the per-point body of [`run_sweep_cached`] and, over a fresh
+    /// cache, of [`run_scenario`]. Load scenarios run the multi-tenant
+    /// job engine instead: every job is an instance of the scenario
+    /// (minus the load block), compiled once through this cache.
+    pub(crate) fn run(&self, scenario: &Scenario) -> Result<ScenarioReport, RunnerError> {
+        if scenario.load.is_some() {
+            return crate::load::load_record(scenario, self);
+        }
+        let artifact = self
+            .get_or_compile(scenario)
+            .map_err(|e| e.with_id(&scenario.id()))?;
+        run_from_artifact(scenario, &artifact)
+    }
 }
 
 /// Runs `scenario`'s compile stage fresh (no cache): surgery fold,
@@ -1392,123 +1375,7 @@ pub fn compile_scenario(scenario: &Scenario) -> Result<CompiledArtifact, RunnerE
 /// compilation fails, node addresses collide, or the simulation faults
 /// — all reported with the scenario id for context.
 pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, RunnerError> {
-    run_scenario_with(scenario, None)
-}
-
-/// [`run_scenario`] with the compile stage served from `cache` — the
-/// per-point body of [`run_sweep_cached`]. Results are byte-identical
-/// to the uncached path; only the compile work is shared.
-///
-/// # Errors
-///
-/// As [`run_scenario`] (cached compile errors included, re-attributed
-/// to this scenario's id).
-pub fn run_scenario_cached(
-    scenario: &Scenario,
-    cache: &CompileCache,
-) -> Result<ScenarioReport, RunnerError> {
-    run_scenario_with(scenario, Some(cache))
-}
-
-fn run_scenario_with(
-    scenario: &Scenario,
-    cache: Option<&CompileCache>,
-) -> Result<ScenarioReport, RunnerError> {
-    // Load scenarios run the multi-tenant job engine instead: every
-    // job is an instance of this scenario (minus the load block),
-    // compiled once through the cache and run per job.
-    if scenario.load.is_some() {
-        return match cache {
-            Some(cache) => crate::load::load_record(scenario, cache),
-            None => crate::load::load_record(scenario, &CompileCache::new()),
-        };
-    }
-    let (system, artifact, fabric, noise) = build_scenario_with(scenario, cache)?;
-    run_built(scenario, system, artifact, fabric, noise)
-}
-
-/// [`run_scenario`] against an already-resolved compile artifact: the
-/// run stage alone, with no cache consult. The job engine uses this to
-/// run every job of a load scenario from the artifact its `run_load`
-/// resolved once.
-pub(crate) fn run_scenario_from_artifact(
-    scenario: &Scenario,
-    artifact: Arc<CompiledArtifact>,
-) -> Result<ScenarioReport, RunnerError> {
-    let (system, artifact, fabric, noise) = build_from_artifact(scenario, artifact)?;
-    run_built(scenario, system, artifact, fabric, noise)
-}
-
-/// The run-and-score tail shared by [`run_scenario_with`] and
-/// [`run_scenario_from_artifact`]: simulate the built system and
-/// distill the scenario's metric record.
-fn run_built(
-    scenario: &Scenario,
-    mut system: System,
-    artifact: Arc<CompiledArtifact>,
-    fabric: FabricMap,
-    noise: NoiseMap,
-) -> Result<ScenarioReport, RunnerError> {
-    let id = scenario.id();
-    let report = system.run().map_err(|e| RunnerError::sim(e).with_id(&id))?;
-
-    let coherence = CoherenceParams::uniform(scenario.t1_us);
-    let scored_exposure: ExposureLedger = if artifact.data_sites.is_empty() {
-        system.exposure().clone()
-    } else {
-        // Output data qubits stay coherent from circuit start until the
-        // whole dynamic circuit completes (the Figure 16 scoring).
-        artifact
-            .data_sites
-            .iter()
-            .map(|&q| (q, 0, report.makespan_ns))
-            .collect()
-    };
-    let infidelity = scored_exposure.infidelity(coherence);
-
-    let mut record = SweepRecord::new(id)
-        .with("makespan_cycles", report.makespan_cycles)
-        .with("makespan_ns", report.makespan_ns)
-        .with("instructions", report.total_instructions)
-        .with("syncs", report.total_syncs)
-        .with("stall_cycles", report.total_stall_cycles)
-        .with("messages", report.events_processed)
-        .with("infidelity", infidelity)
-        .with("all_halted", report.all_halted);
-    if fabric.default_model() != LinkModel::default() || !fabric.is_uniform() {
-        let messages: u64 = report.link_stats.iter().map(|l| l.messages).sum();
-        record.set("link_messages", messages);
-        record.set("link_retransmits", report.total_retransmits());
-        record.set("link_dropped", report.total_dropped());
-        record.set(
-            "link_peak_occupancy",
-            u64::from(report.peak_link_occupancy()),
-        );
-    }
-    if !noise.is_noiseless() {
-        // Analytic gate-error scoring: expected infidelity from the
-        // committed operation counts plus per-nanosecond idle error
-        // charged from the same exposure ledger the T1/T2 metric
-        // reads. A uniform map scores through the exact closed-form
-        // global-count path (byte-identical to the historical single
-        // model); a heterogeneous map charges each qubit its own rates
-        // from the engine's per-qubit operation counts.
-        let noise_infidelity = if noise.is_uniform() {
-            noise
-                .default_model()
-                .infidelity(&report.quantum_ops, &scored_exposure)
-        } else {
-            noise.infidelity(system.quantum_ops_by_qubit(), &scored_exposure)
-        };
-        record.set("noise_infidelity", noise_infidelity);
-        record.set("gates_1q", report.quantum_ops.gates_1q);
-        record.set("gates_2q", report.quantum_ops.gates_2q);
-        record.set("measurements", report.quantum_ops.measurements);
-    }
-    if report.routing_warnings > 0 {
-        record.set("routing_warnings", report.routing_warnings);
-    }
-    Ok(record)
+    CompileCache::new().run(scenario)
 }
 
 /// Builds the ready-to-run [`System`] a scenario describes — surgery,
@@ -1517,15 +1384,17 @@ fn run_built(
 /// `run()` call.
 ///
 /// Exposed so test harnesses can instrument the engine before the run —
-/// e.g. record a pop trace ([`System::record_event_trace`]) or select
-/// the reference event queue ([`System::use_reference_queue`]) for the
-/// wheel-vs-heap differential oracle in `tests/queue_trace_replay.rs`.
+/// e.g. record a pop trace ([`System::record_event_trace`]), as the
+/// pinned trace fingerprints in `tests/queue_trace_replay.rs` do.
 ///
 /// # Errors
 ///
 /// As [`run_scenario`], minus simulation-time failures.
 pub fn scenario_system(scenario: &Scenario) -> Result<System, RunnerError> {
-    build_scenario_with(scenario, None).map(|(system, _, _, _)| system)
+    let artifact = compile_scenario(scenario)?;
+    build_from_artifact(scenario, &artifact)
+        .map(|(system, _, _)| system)
+        .map_err(|e| RunnerError::sim(e).with_id(&scenario.id()))
 }
 
 /// The pure compile stage: everything a scenario's pipeline does
@@ -1535,21 +1404,15 @@ pub fn scenario_system(scenario: &Scenario) -> Result<System, RunnerError> {
 fn compile_stage(scenario: &Scenario) -> Result<CompiledArtifact, RunnerError> {
     // Scenario-level surgery first: the effective workload feeds
     // everything downstream (link-model/noise overrides are run-stage
-    // and folded by `build_scenario_with` instead).
-    let mut workload = scenario.workload.clone();
-    for op in &scenario.surgery {
-        if let SurgeryOp::SwapWorkload { workload: w } = op {
-            workload = w.clone();
-        }
-    }
-    let built = workload
+    // and folded by `build_from_artifact` instead).
+    let built = effective_workload(scenario)
         .build()
         .ok_or_else(|| RunnerError::UnknownWorkload { id: String::new() })?;
     let p = &scenario.params;
     // The topology is built with the *default* link model even when the
     // scenario runs a contended one: neither compiler reads the model,
     // and the spec-level override below the cache seam
-    // (`build_scenario_with`) replaces whatever the description
+    // (`build_from_artifact`) replaces whatever the description
     // inherited — so scenarios differing only in link model share this
     // stage, and results stay byte-identical either way.
     let mut topology = TopologyBuilder::grid(built.grid.0, built.grid.1)
@@ -1627,30 +1490,14 @@ fn compile_stage(scenario: &Scenario) -> Result<CompiledArtifact, RunnerError> {
     })
 }
 
-/// The shared scenario-to-[`System`] pipeline behind [`run_scenario`]
-/// and [`scenario_system`]: the (possibly cached) compile stage, then
-/// the per-scenario tail — clone the description, seed the backend,
-/// install the fabric, build. Also returns the artifact and the
-/// effective fabric/noise maps the metric distillation needs.
-fn build_scenario_with(
-    scenario: &Scenario,
-    cache: Option<&CompileCache>,
-) -> Result<(System, Arc<CompiledArtifact>, FabricMap, NoiseMap), RunnerError> {
-    let artifact = match cache {
-        Some(cache) => cache.get_or_compile(scenario),
-        None => compile_stage(scenario).map(Arc::new),
-    }
-    .map_err(|e| e.with_id(&scenario.id()))?;
-    build_from_artifact(scenario, artifact)
-}
-
-/// The cache-free half of [`build_scenario_with`]: backend seeding and
-/// fabric resolution onto an already-compiled artifact.
+/// The run-stage half of a scenario over its compiled artifact: clone
+/// the description, seed the backend, install the fabric, build. Also
+/// returns the effective fabric/noise maps the metric distillation
+/// needs. Errors carry no scenario id (the caller stamps its own).
 fn build_from_artifact(
     scenario: &Scenario,
-    artifact: Arc<CompiledArtifact>,
-) -> Result<(System, Arc<CompiledArtifact>, FabricMap, NoiseMap), RunnerError> {
-    let id = scenario.id();
+    artifact: &CompiledArtifact,
+) -> Result<(System, FabricMap, NoiseMap), SimError> {
     let (fabric, noise) = effective_maps(scenario);
     let mut spec = artifact.spec.clone();
     // Noiseless scenarios keep the historical random backend (and its
@@ -1675,8 +1522,82 @@ fn build_from_artifact(
     for (from, to, model) in fabric.overrides() {
         spec.link_model_for(from, to, model);
     }
-    let system = spec.build().map_err(|e| RunnerError::sim(e).with_id(&id))?;
-    Ok((system, artifact, fabric, noise))
+    Ok((spec.build()?, fabric, noise))
+}
+
+/// Runs `scenario` from its compiled artifact and distils the
+/// scenario's metric record (see [`run_scenario`] for the metric
+/// names). The job engine calls this once per simulated job, all from
+/// the one artifact its load run resolved.
+pub(crate) fn run_from_artifact(
+    scenario: &Scenario,
+    artifact: &CompiledArtifact,
+) -> Result<ScenarioReport, RunnerError> {
+    let id = scenario.id();
+    let sim_error = |source| RunnerError::Sim {
+        id: id.clone(),
+        source,
+    };
+    let (mut system, fabric, noise) = build_from_artifact(scenario, artifact).map_err(sim_error)?;
+    let report = system.run().map_err(sim_error)?;
+
+    let coherence = CoherenceParams::uniform(scenario.t1_us);
+    let scored_exposure: ExposureLedger = if artifact.data_sites.is_empty() {
+        system.exposure().clone()
+    } else {
+        // Output data qubits stay coherent from circuit start until the
+        // whole dynamic circuit completes (the Figure 16 scoring).
+        artifact
+            .data_sites
+            .iter()
+            .map(|&q| (q, 0, report.makespan_ns))
+            .collect()
+    };
+    let infidelity = scored_exposure.infidelity(coherence);
+
+    let mut record = SweepRecord::new(id)
+        .with("makespan_cycles", report.makespan_cycles)
+        .with("makespan_ns", report.makespan_ns)
+        .with("instructions", report.total_instructions)
+        .with("syncs", report.total_syncs)
+        .with("stall_cycles", report.total_stall_cycles)
+        .with("messages", report.events_processed)
+        .with("infidelity", infidelity)
+        .with("all_halted", report.all_halted);
+    if fabric.default_model() != LinkModel::default() || !fabric.is_uniform() {
+        let messages: u64 = report.link_stats.iter().map(|l| l.messages).sum();
+        record.set("link_messages", messages);
+        record.set("link_retransmits", report.total_retransmits());
+        record.set("link_dropped", report.total_dropped());
+        record.set(
+            "link_peak_occupancy",
+            u64::from(report.peak_link_occupancy()),
+        );
+    }
+    if !noise.is_noiseless() {
+        // Analytic gate-error scoring: expected infidelity from the
+        // committed operation counts plus per-nanosecond idle error
+        // charged from the same exposure ledger the T1/T2 metric
+        // reads. A uniform map scores through the exact closed-form
+        // global-count path (byte-identical to the historical single
+        // model); a heterogeneous map charges each qubit its own rates
+        // from the engine's per-qubit operation counts.
+        let noise_infidelity = if noise.is_uniform() {
+            noise
+                .default_model()
+                .infidelity(&report.quantum_ops, &scored_exposure)
+        } else {
+            noise.infidelity(system.quantum_ops_by_qubit(), &scored_exposure)
+        };
+        record.set("noise_infidelity", noise_infidelity);
+        record.set("gates_1q", report.quantum_ops.gates_1q);
+        record.set("gates_2q", report.quantum_ops.gates_2q);
+        record.set("measurements", report.quantum_ops.measurements);
+    }
+    if report.routing_warnings > 0 {
+        record.set("routing_warnings", report.routing_warnings);
+    }
+    Ok(record)
 }
 
 /// Runs a batch of scenarios on `threads` workers and aggregates their
@@ -1713,9 +1634,7 @@ pub fn run_sweep_cached(
     threads: usize,
     cache: &CompileCache,
 ) -> Result<SweepReport, RunnerError> {
-    let results = SweepRunner::new(threads).map(scenarios, |_, scenario| {
-        run_scenario_cached(scenario, cache)
-    });
+    let results = SweepRunner::new(threads).map(scenarios, |_, scenario| cache.run(scenario));
     let records = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     Ok(SweepReport::from_records(records))
 }
