@@ -48,7 +48,6 @@
 
 pub mod config;
 pub mod controller;
-pub mod json;
 pub mod msg;
 pub mod pipeline;
 pub mod timeline;

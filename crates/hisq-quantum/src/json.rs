@@ -8,15 +8,13 @@
 //!  "p_idle_per_ns": 1e-6, "p_leak": 0.0005}
 //! ```
 //!
-//! Gates render as a bare string (`"cx"`) when parameterless, or as
-//! `{"gate": "rz", "angle": 0.7853981633974483}` when carrying a
-//! rotation angle.
+//! A [`NoiseMap`] only serializes: scenario files describe per-qubit
+//! noise as overrides of their own, and the facade hashes
+//! [`NoiseMap::to_json`] into its compile key.
 
 use hisq_json::{Json, JsonError, ObjReader};
 
-use crate::gate::Gate;
 use crate::noise::{NoiseMap, NoiseModel};
-use crate::timing::GateDurations;
 
 impl NoiseModel {
     /// Serializes the error rates. Zero rates are emitted too (the
@@ -92,190 +90,6 @@ impl NoiseMap {
         }
         json
     }
-
-    /// Parses a map serialized by [`NoiseMap::to_json`]. The plain
-    /// [`NoiseModel`] shape parses as a uniform map, so every
-    /// historical noise field remains valid.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] at `path` for unknown fields, wrong
-    /// types, rates outside `[0, 1]`, or duplicate qubit overrides.
-    pub fn from_json(value: &Json, path: &str) -> Result<NoiseMap, JsonError> {
-        let Json::Object(fields) = value else {
-            // Delegate for the uniform error message ("expected an
-            // object, got ...").
-            return Ok(NoiseMap::uniform(NoiseModel::from_json(value, path)?));
-        };
-        let model_fields: Vec<(String, Json)> = fields
-            .iter()
-            .filter(|(name, _)| name != "overrides")
-            .cloned()
-            .collect();
-        let default = NoiseModel::from_json(&Json::Object(model_fields), path)?;
-        let mut map = NoiseMap::uniform(default);
-        let Some((_, overrides)) = fields.iter().find(|(name, _)| name == "overrides") else {
-            return Ok(map);
-        };
-        let overrides_path = format!("{path}.overrides");
-        let entries = overrides.as_array(&overrides_path)?;
-        let mut seen = std::collections::BTreeSet::new();
-        for (i, entry) in entries.iter().enumerate() {
-            let entry_path = format!("{overrides_path}[{i}]");
-            let mut obj = ObjReader::new(entry, &entry_path)?;
-            let qubit = obj.required("qubit")?.as_u64(&obj.field_path("qubit"))? as usize;
-            let noise = NoiseModel::from_json(obj.required("noise")?, &obj.field_path("noise"))?;
-            obj.reject_unknown()?;
-            if !seen.insert(qubit) {
-                return Err(JsonError::decode(
-                    entry_path,
-                    format!("duplicate override for qubit {qubit}"),
-                ));
-            }
-            map.set_qubit(qubit, noise);
-        }
-        Ok(map)
-    }
-}
-
-impl GateDurations {
-    /// Serializes the gate durations (nanoseconds).
-    pub fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("single_qubit_ns".into(), self.single_qubit_ns.into()),
-            ("two_qubit_ns".into(), self.two_qubit_ns.into()),
-            ("measurement_ns".into(), self.measurement_ns.into()),
-            ("reset_ns".into(), self.reset_ns.into()),
-        ])
-    }
-
-    /// Parses durations serialized by [`GateDurations::to_json`].
-    /// Omitted fields take the paper's values ([`GateDurations::PAPER`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] at `path` for unknown fields or wrong
-    /// types.
-    pub fn from_json(value: &Json, path: &str) -> Result<GateDurations, JsonError> {
-        let mut obj = ObjReader::new(value, path)?;
-        let mut durations = GateDurations::PAPER;
-        if let Some(v) = obj.optional("single_qubit_ns") {
-            durations.single_qubit_ns = v.as_u64(&obj.field_path("single_qubit_ns"))?;
-        }
-        if let Some(v) = obj.optional("two_qubit_ns") {
-            durations.two_qubit_ns = v.as_u64(&obj.field_path("two_qubit_ns"))?;
-        }
-        if let Some(v) = obj.optional("measurement_ns") {
-            durations.measurement_ns = v.as_u64(&obj.field_path("measurement_ns"))?;
-        }
-        if let Some(v) = obj.optional("reset_ns") {
-            durations.reset_ns = v.as_u64(&obj.field_path("reset_ns"))?;
-        }
-        obj.reject_unknown()?;
-        Ok(durations)
-    }
-}
-
-impl Gate {
-    /// The wire name of this gate (lower-case, matching the usual
-    /// OpenQASM spellings).
-    fn wire_name(self) -> &'static str {
-        match self {
-            Gate::I => "i",
-            Gate::X => "x",
-            Gate::Y => "y",
-            Gate::Z => "z",
-            Gate::H => "h",
-            Gate::S => "s",
-            Gate::Sdg => "sdg",
-            Gate::T => "t",
-            Gate::Tdg => "tdg",
-            Gate::Rx(_) => "rx",
-            Gate::Ry(_) => "ry",
-            Gate::Rz(_) => "rz",
-            Gate::Phase(_) => "p",
-            Gate::Cx => "cx",
-            Gate::Cz => "cz",
-            Gate::Cphase(_) => "cp",
-            Gate::Swap => "swap",
-        }
-    }
-
-    /// Serializes the gate: a bare string for parameterless gates, an
-    /// object carrying the angle for rotations.
-    pub fn to_json(&self) -> Json {
-        match *self {
-            Gate::Rx(a) | Gate::Ry(a) | Gate::Rz(a) | Gate::Phase(a) | Gate::Cphase(a) => {
-                Json::Object(vec![
-                    ("gate".into(), Json::str(self.wire_name())),
-                    ("angle".into(), Json::float(a)),
-                ])
-            }
-            _ => Json::str(self.wire_name()),
-        }
-    }
-
-    /// Parses a gate serialized by [`Gate::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] at `path` for unknown gate names, a
-    /// missing/superfluous `angle`, or wrong types.
-    pub fn from_json(value: &Json, path: &str) -> Result<Gate, JsonError> {
-        let (name, angle) = match value {
-            Json::Str(name) => (name.as_str(), None),
-            Json::Object(_) => {
-                let mut obj = ObjReader::new(value, path)?;
-                let name = obj.required("gate")?.as_str(&obj.field_path("gate"))?;
-                let angle = match obj.optional("angle") {
-                    Some(v) => Some(v.as_f64(&obj.field_path("angle"))?),
-                    None => None,
-                };
-                obj.reject_unknown()?;
-                (name, angle)
-            }
-            other => {
-                return Err(JsonError::decode(
-                    path,
-                    format!("expected a gate name or object, got {}", other.type_name()),
-                ))
-            }
-        };
-        let parameterless = |gate: Gate| match angle {
-            None => Ok(gate),
-            Some(_) => Err(JsonError::decode(
-                path,
-                format!("gate \"{name}\" takes no angle"),
-            )),
-        };
-        let rotation = |make: fn(f64) -> Gate| match angle {
-            Some(a) => Ok(make(a)),
-            None => Err(JsonError::decode(
-                path,
-                format!("gate \"{name}\" requires an `angle` field"),
-            )),
-        };
-        match name {
-            "i" => parameterless(Gate::I),
-            "x" => parameterless(Gate::X),
-            "y" => parameterless(Gate::Y),
-            "z" => parameterless(Gate::Z),
-            "h" => parameterless(Gate::H),
-            "s" => parameterless(Gate::S),
-            "sdg" => parameterless(Gate::Sdg),
-            "t" => parameterless(Gate::T),
-            "tdg" => parameterless(Gate::Tdg),
-            "rx" => rotation(Gate::Rx),
-            "ry" => rotation(Gate::Ry),
-            "rz" => rotation(Gate::Rz),
-            "p" => rotation(Gate::Phase),
-            "cx" => parameterless(Gate::Cx),
-            "cz" => parameterless(Gate::Cz),
-            "cp" => rotation(Gate::Cphase),
-            "swap" => parameterless(Gate::Swap),
-            other => Err(JsonError::decode(path, format!("unknown gate \"{other}\""))),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -315,7 +129,7 @@ mod tests {
     }
 
     #[test]
-    fn noise_map_round_trips_and_uniform_matches_model_shape() {
+    fn noise_map_to_json_matches_model_shape_when_uniform() {
         let default = NoiseModel::NOISELESS.with_gate_errors(1e-3, 1e-2);
         let hot = NoiseModel::NOISELESS.with_gate_errors(5e-2, 1e-1);
         // Uniform maps emit exactly the NoiseModel shape.
@@ -324,92 +138,12 @@ mod tests {
             uniform.to_json().to_string_compact(),
             default.to_json().to_string_compact()
         );
-        // And the NoiseModel shape parses as a uniform map.
-        let back = NoiseMap::from_json(&default.to_json(), "noise").unwrap();
-        assert_eq!(back, uniform);
-        // Overrides round-trip.
-        let mut map = uniform.clone();
-        map.set_qubit(2, hot);
+        // Overrides append an `overrides` array in ascending qubit order.
+        let mut map = uniform;
         map.set_qubit(7, NoiseModel::NOISELESS);
+        map.set_qubit(2, hot);
         let text = map.to_json().to_string_compact();
-        assert!(text.contains(r#""overrides":[{"qubit":2,"#), "{text}");
-        let back = NoiseMap::from_json(&Json::parse(&text).unwrap(), "noise").unwrap();
-        assert_eq!(back, map);
-    }
-
-    #[test]
-    fn noise_map_rejects_bad_overrides() {
-        let dup = r#"{"p_gate_1q": 0.001, "p_gate_2q": 0.0, "p_meas": 0.0,
-                      "p_idle_per_ns": 0.0, "p_leak": 0.0,
-                      "overrides": [{"qubit": 1, "noise": {}},
-                                    {"qubit": 1, "noise": {"p_meas": 0.1}}]}"#;
-        let err = NoiseMap::from_json(&Json::parse(dup).unwrap(), "noise").unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "noise.overrides[1]: duplicate override for qubit 1"
-        );
-        let unknown = r#"{"overrides": [{"qubit": 0, "noise": {}, "p_one": 0.5}]}"#;
-        let err = NoiseMap::from_json(&Json::parse(unknown).unwrap(), "noise").unwrap_err();
-        assert_eq!(err.to_string(), "noise.overrides[0]: unknown field `p_one`");
-        let missing = r#"{"overrides": [{"noise": {}}]}"#;
-        let err = NoiseMap::from_json(&Json::parse(missing).unwrap(), "noise").unwrap_err();
-        assert_eq!(err.to_string(), "noise.overrides[0]: missing field `qubit`");
-        let bad_rate = r#"{"overrides": [{"qubit": 0, "noise": {"p_meas": 2.0}}]}"#;
-        let err = NoiseMap::from_json(&Json::parse(bad_rate).unwrap(), "noise").unwrap_err();
-        assert!(err.to_string().contains("outside [0, 1]"), "{err}");
-    }
-
-    #[test]
-    fn gate_durations_round_trip() {
-        let durations = GateDurations {
-            single_qubit_ns: 25,
-            two_qubit_ns: 50,
-            measurement_ns: 400,
-            reset_ns: 350,
-        };
-        let back = GateDurations::from_json(&durations.to_json(), "durations").unwrap();
-        assert_eq!(durations, back);
-        assert_eq!(
-            GateDurations::from_json(&Json::parse("{}").unwrap(), "durations").unwrap(),
-            GateDurations::PAPER
-        );
-    }
-
-    #[test]
-    fn gates_round_trip() {
-        let gates = [
-            Gate::I,
-            Gate::X,
-            Gate::H,
-            Gate::Sdg,
-            Gate::Tdg,
-            Gate::Rx(0.25),
-            Gate::Ry(-1.5),
-            Gate::Rz(std::f64::consts::PI),
-            Gate::Phase(0.5),
-            Gate::Cx,
-            Gate::Cz,
-            Gate::Cphase(std::f64::consts::FRAC_PI_4),
-            Gate::Swap,
-        ];
-        for gate in gates {
-            let text = gate.to_json().to_string_compact();
-            let back = Gate::from_json(&Json::parse(&text).unwrap(), "gate").unwrap();
-            assert_eq!(gate, back, "{text}");
-        }
-    }
-
-    #[test]
-    fn gate_errors_are_loud() {
-        for (text, needle) in [
-            (r#""warp""#, "unknown gate"),
-            (r#""rx""#, "requires an `angle`"),
-            (r#"{"gate": "cx", "angle": 1.0}"#, "takes no angle"),
-            (r#"{"gate": "rx"}"#, "requires an `angle`"),
-            ("42", "expected a gate name or object"),
-        ] {
-            let err = Gate::from_json(&Json::parse(text).unwrap(), "gate").unwrap_err();
-            assert!(err.to_string().contains(needle), "{text}: {err}");
-        }
+        assert!(text.contains(r#","overrides":[{"qubit":2,"#), "{text}");
+        assert!(text.contains(r#"},{"qubit":7,"#), "{text}");
     }
 }

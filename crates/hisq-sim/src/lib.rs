@@ -97,7 +97,6 @@ pub mod backend;
 pub mod config;
 pub mod engine;
 pub mod events;
-pub mod json;
 pub mod nodes;
 pub mod queue;
 pub mod spec;

@@ -152,15 +152,15 @@ impl BackendSpec {
 /// contract.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SystemSpec {
-    pub(crate) config: SimConfig,
-    pub(crate) backend: BackendSpec,
-    pub(crate) controllers: Vec<(NodeConfig, Vec<Inst>)>,
-    pub(crate) routers: Vec<Router>,
-    pub(crate) hubs: Vec<(NodeAddr, Hub)>,
-    pub(crate) topology: Option<Topology>,
-    pub(crate) fabric: FabricMap,
-    pub(crate) bindings: Vec<(NodeAddr, u32, u32, QuantumAction)>,
-    pub(crate) meas_ports: Vec<(NodeAddr, u32, MeasBinding)>,
+    config: SimConfig,
+    backend: BackendSpec,
+    controllers: Vec<(NodeConfig, Vec<Inst>)>,
+    routers: Vec<Router>,
+    hubs: Vec<(NodeAddr, Hub)>,
+    topology: Option<Topology>,
+    fabric: FabricMap,
+    bindings: Vec<(NodeAddr, u32, u32, QuantumAction)>,
+    meas_ports: Vec<(NodeAddr, u32, MeasBinding)>,
 }
 
 impl SystemSpec {

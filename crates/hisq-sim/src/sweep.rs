@@ -49,6 +49,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use hisq_json::Json;
+
 /// One measured value of a sweep record.
 ///
 /// Metrics are deliberately flat: a record is a bag of named scalars
@@ -78,13 +80,13 @@ impl Metric {
         }
     }
 
-    /// Renders the metric as a JSON value.
-    fn write_json(&self, out: &mut String) {
+    /// The metric as a JSON value.
+    fn json(&self) -> Json {
         match self {
-            Metric::U64(v) => out.push_str(&v.to_string()),
-            Metric::F64(v) => out.push_str(&json_f64(*v)),
-            Metric::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
-            Metric::Str(v) => out.push_str(&json_string(v)),
+            Metric::U64(v) => Json::UInt(*v),
+            Metric::F64(v) => json_f64(*v),
+            Metric::Bool(v) => Json::Bool(*v),
+            Metric::Str(v) => Json::str(v.as_str()),
         }
     }
 }
@@ -119,35 +121,14 @@ impl From<&str> for Metric {
     }
 }
 
-/// Formats an `f64` as a JSON number (shortest round-trip form; JSON
-/// has no NaN/infinity, so non-finite values render as `null`).
-fn json_f64(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".into();
+/// An `f64` as a JSON number. JSON has no NaN/infinity, so non-finite
+/// values become `null`.
+fn json_f64(v: f64) -> Json {
+    if v.is_finite() {
+        Json::Float(v)
+    } else {
+        Json::Null
     }
-    let s = format!("{v:?}");
-    // `{:?}` may print integral floats as `1.0`; that is already valid
-    // JSON, keep it (it also preserves the f64/u64 distinction).
-    s
-}
-
-/// Escapes a string into a JSON string literal (quotes included).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// The measured outcome of one executed scenario: a stable identifier
@@ -202,20 +183,19 @@ impl SweepRecord {
 
     /// Renders the record as one JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"id\":");
-        out.push_str(&json_string(&self.id));
-        out.push_str(",\"metrics\":{");
-        for (i, (name, metric)) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_string(name));
-            out.push(':');
-            metric.write_json(&mut out);
-        }
-        out.push_str("}}");
-        out
+        self.json().to_string_compact()
+    }
+
+    fn json(&self) -> Json {
+        let metrics = self
+            .metrics
+            .iter()
+            .map(|(name, metric)| (name.clone(), metric.json()))
+            .collect();
+        Json::Object(vec![
+            ("id".into(), Json::str(self.id.as_str())),
+            ("metrics".into(), Json::Object(metrics)),
+        ])
     }
 }
 
@@ -259,15 +239,14 @@ impl MetricSummary {
         })
     }
 
-    fn write_json(&self, out: &mut String) {
-        out.push_str(&format!(
-            "{{\"count\":{},\"min\":{},\"max\":{},\"sum\":{},\"mean\":{}}}",
-            self.count,
-            json_f64(self.min),
-            json_f64(self.max),
-            json_f64(self.sum),
-            json_f64(self.mean),
-        ));
+    fn json(&self) -> Json {
+        Json::Object(vec![
+            ("count".into(), self.count.into()),
+            ("min".into(), json_f64(self.min)),
+            ("max".into(), json_f64(self.max)),
+            ("sum".into(), json_f64(self.sum)),
+            ("mean".into(), json_f64(self.mean)),
+        ])
     }
 }
 
@@ -318,26 +297,20 @@ impl SweepReport {
     /// Renders the whole report as one deterministic JSON document:
     /// scenario count, per-scenario records, per-metric summaries.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("{{\"scenarios\":{},", self.records.len()));
-        out.push_str("\"records\":[");
-        for (i, record) in self.records.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&record.to_json());
-        }
-        out.push_str("],\"summary\":{");
-        for (i, (name, summary)) in self.summary().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_string(name));
-            out.push(':');
-            summary.write_json(&mut out);
-        }
-        out.push_str("}}");
-        out
+        let summary = self
+            .summary()
+            .into_iter()
+            .map(|(name, summary)| (name, summary.json()))
+            .collect();
+        Json::Object(vec![
+            ("scenarios".into(), self.records.len().into()),
+            (
+                "records".into(),
+                Json::Array(self.records.iter().map(SweepRecord::json).collect()),
+            ),
+            ("summary".into(), Json::Object(summary)),
+        ])
+        .to_string_compact()
     }
 }
 
