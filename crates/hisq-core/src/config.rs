@@ -54,7 +54,7 @@ pub struct NodeConfig {
     pub addr: NodeAddr,
     /// Calibrated links, keyed by remote address.
     pub links: BTreeMap<NodeAddr, Link>,
-    /// Data-memory size in bytes.
+    /// Data-memory address space in bytes (allocated on first store).
     pub mem_bytes: usize,
     /// TCU queue decoupling margin in cycles: on start and after every
     /// non-deterministic rebase the timing grid is re-armed this far
@@ -65,8 +65,11 @@ pub struct NodeConfig {
 }
 
 impl NodeConfig {
-    /// Default data-memory size (64 KiB, matching the reference boards'
-    /// block-RAM budget order of magnitude).
+    /// Default data-memory address space (64 KiB, matching the
+    /// reference boards' block-RAM budget order of magnitude). It is an
+    /// address space, not an up-front allocation: a controller's buffer
+    /// is allocated on its first store, so programs that never store
+    /// cost no data memory.
     pub const DEFAULT_MEM_BYTES: usize = 64 * 1024;
 
     /// Creates a configuration with no links and default memory.

@@ -162,20 +162,6 @@ impl<T> Inbox<T> {
     }
 }
 
-/// The controller state the per-event hot loop never touches, boxed
-/// out of [`Controller`]'s inline stride (the SoA-style cold split):
-/// data memory only matters to the rare load/store instructions, and
-/// the configuration is consumed at construction (its links flatten
-/// into `link_table`; the two scalars the execute path reads, `addr`
-/// and `pipeline_headroom`, are copied into the hot struct). Keeping
-/// the memory behind one pointer shrinks the inline controller
-/// footprint, so the arena's per-event line fills stay on
-/// fetch/execute state.
-#[derive(Debug, Clone)]
-struct ColdState {
-    mem: Memory,
-}
-
 /// A single HISQ controller node (see the crate-level docs).
 ///
 /// `repr(C)` with the hottest fields first: a simulation arena holds
@@ -184,8 +170,9 @@ struct ColdState {
 /// (`status`, `pc`, clocks, `program`) into the leading cache lines —
 /// ahead of the register file and the inbox lanes — keeps the
 /// per-event working set to a couple of line fills instead of a walk
-/// across the whole struct; the data memory the hot loop never reads
-/// lives behind the trailing `ColdState` box.
+/// across the whole struct. The data memory the hot loop never reads
+/// is the last field: a length plus a buffer allocated on the first
+/// store, so it needs no box of its own to stay out of the hot lines.
 #[derive(Debug, Clone)]
 #[repr(C)]
 pub struct Controller {
@@ -217,14 +204,13 @@ pub struct Controller {
     /// Hot copy of the queue-decoupling margin (read on every
     /// non-deterministic grid rebase).
     pipeline_headroom: u64,
-    /// Everything the per-event path never reads, one pointer away.
-    cold: Box<ColdState>,
+    /// Data memory, read only by loads and stores.
+    mem: Memory,
 }
 
 impl Controller {
     /// Creates a controller with a loaded program, ready at cycle 0.
     pub fn new(config: NodeConfig, program: Vec<Inst>) -> Controller {
-        let mem = Memory::new(config.mem_bytes);
         let grid_raw = config.pipeline_headroom;
         // BTreeMap iterates in key order, so the table arrives sorted.
         let link_table: Vec<(NodeAddr, Link)> = config
@@ -235,7 +221,6 @@ impl Controller {
         Controller {
             addr: config.addr,
             pipeline_headroom: config.pipeline_headroom,
-            cold: Box::new(ColdState { mem }),
             link_table,
             program,
             pc: 0,
@@ -249,6 +234,7 @@ impl Controller {
             mailboxes: Inbox::default(),
             commits: Vec::new(),
             stats: ControllerStats::default(),
+            mem: Memory::new(config.mem_bytes),
         }
     }
 
@@ -538,14 +524,14 @@ impl Controller {
                 let addr = self.regs.read(rs1).wrapping_add(offset as u32);
                 let value = match op {
                     LoadOp::Byte => {
-                        sign_extend(self.cold.mem.load(addr, 1).map_err(|e| e.to_string())?, 8)
+                        sign_extend(self.mem.load(addr, 1).map_err(|e| e.to_string())?, 8)
                     }
                     LoadOp::Half => {
-                        sign_extend(self.cold.mem.load(addr, 2).map_err(|e| e.to_string())?, 16)
+                        sign_extend(self.mem.load(addr, 2).map_err(|e| e.to_string())?, 16)
                     }
-                    LoadOp::Word => self.cold.mem.load(addr, 4).map_err(|e| e.to_string())?,
-                    LoadOp::ByteU => self.cold.mem.load(addr, 1).map_err(|e| e.to_string())?,
-                    LoadOp::HalfU => self.cold.mem.load(addr, 2).map_err(|e| e.to_string())?,
+                    LoadOp::Word => self.mem.load(addr, 4).map_err(|e| e.to_string())?,
+                    LoadOp::ByteU => self.mem.load(addr, 1).map_err(|e| e.to_string())?,
+                    LoadOp::HalfU => self.mem.load(addr, 2).map_err(|e| e.to_string())?,
                 };
                 self.regs.write(rd, value);
                 self.pc += 1;
@@ -563,8 +549,7 @@ impl Controller {
                     StoreOp::Half => 2,
                     StoreOp::Word => 4,
                 };
-                self.cold
-                    .mem
+                self.mem
                     .store(addr, width, value)
                     .map_err(|e| e.to_string())?;
                 self.pc += 1;

@@ -47,8 +47,16 @@ impl Default for RegFile {
 }
 
 /// Byte-addressed little-endian data memory with bounds checking.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The buffer is allocated on the first store: until then every load
+/// reads zero, so a controller whose program never stores costs no
+/// heap memory. Bounds are checked against `len` either way, so faults
+/// do not depend on whether the buffer exists yet. Equality compares
+/// contents, so a never-stored memory equals one that stored zeros.
+#[derive(Debug, Clone)]
 pub struct Memory {
+    len: usize,
+    /// Empty until the first store, then exactly `len` bytes.
     bytes: Vec<u8>,
 }
 
@@ -77,23 +85,24 @@ impl Memory {
     /// Creates a zero-initialized memory of `bytes` bytes.
     pub fn new(bytes: usize) -> Memory {
         Memory {
-            bytes: vec![0; bytes],
+            len: bytes,
+            bytes: Vec::new(),
         }
     }
 
     /// Memory size in bytes.
     pub fn len(&self) -> usize {
-        self.bytes.len()
+        self.len
     }
 
     /// `true` if the memory has zero size.
     pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
+        self.len == 0
     }
 
     fn check(&self, addr: u32, width: u32) -> Result<usize, MemFault> {
         let end = addr as u64 + u64::from(width);
-        if end > self.bytes.len() as u64 {
+        if end > self.len as u64 {
             return Err(MemFault { addr, width });
         }
         Ok(addr as usize)
@@ -106,9 +115,12 @@ impl Memory {
     /// Returns [`MemFault`] on out-of-bounds access.
     pub fn load(&self, addr: u32, width: u32) -> Result<u32, MemFault> {
         let base = self.check(addr, width)?;
+        let Some(bytes) = self.bytes.get(base..base + width as usize) else {
+            return Ok(0);
+        };
         let mut value = 0u32;
-        for i in 0..width as usize {
-            value |= u32::from(self.bytes[base + i]) << (8 * i);
+        for (i, &byte) in bytes.iter().enumerate() {
+            value |= u32::from(byte) << (8 * i);
         }
         Ok(value)
     }
@@ -120,12 +132,29 @@ impl Memory {
     /// Returns [`MemFault`] on out-of-bounds access.
     pub fn store(&mut self, addr: u32, width: u32, value: u32) -> Result<(), MemFault> {
         let base = self.check(addr, width)?;
+        if self.bytes.is_empty() {
+            self.bytes = vec![0; self.len];
+        }
         for i in 0..width as usize {
             self.bytes[base + i] = (value >> (8 * i)) as u8;
         }
         Ok(())
     }
 }
+
+impl PartialEq for Memory {
+    fn eq(&self, other: &Memory) -> bool {
+        // A missing buffer reads as all zeros.
+        let zeros = |bytes: &[u8]| bytes.iter().all(|&b| b == 0);
+        self.len == other.len
+            && match (self.bytes.is_empty(), other.bytes.is_empty()) {
+                (false, false) => self.bytes == other.bytes,
+                _ => zeros(&self.bytes) && zeros(&other.bytes),
+            }
+    }
+}
+
+impl Eq for Memory {}
 
 /// Sign-extends the low `bits` bits of `value` to 32 bits.
 pub fn sign_extend(value: u32, bits: u32) -> u32 {
@@ -162,6 +191,85 @@ mod tests {
         assert!(mem.load(4, 4).is_ok());
         // Address arithmetic must not overflow.
         assert!(mem.load(u32::MAX, 4).is_err());
+    }
+
+    #[test]
+    fn untouched_memory_reads_zero_at_every_width() {
+        let mem = Memory::new(16);
+        for width in [1u32, 2, 4] {
+            for addr in 0..=(16 - width) {
+                assert_eq!(mem.load(addr, width), Ok(0), "addr={addr} width={width}");
+            }
+        }
+    }
+
+    #[test]
+    fn faults_do_not_depend_on_the_first_store() {
+        let probes = [
+            (15u32, 1u32),
+            (15, 2),
+            (13, 4),
+            (16, 1),
+            (u32::MAX, 1),
+            (u32::MAX, 4),
+        ];
+        let outcomes = |mem: &Memory| -> Vec<Result<u32, MemFault>> {
+            probes.iter().map(|&(a, w)| mem.load(a, w)).collect()
+        };
+        let mut mem = Memory::new(16);
+        let before = outcomes(&mem);
+        assert_eq!(before[0], Ok(0), "the last valid byte loads");
+        assert_eq!(before[3], Err(MemFault { addr: 16, width: 1 }));
+        assert_eq!(
+            before[5],
+            Err(MemFault {
+                addr: u32::MAX,
+                width: 4
+            })
+        );
+        assert_eq!(mem.store(16, 1, 7), Err(MemFault { addr: 16, width: 1 }));
+        assert_eq!(
+            mem.store(u32::MAX, 4, 7),
+            Err(MemFault {
+                addr: u32::MAX,
+                width: 4
+            })
+        );
+        assert!(mem.bytes.is_empty(), "a faulting store allocates nothing");
+        mem.store(0, 1, 0).unwrap();
+        assert_eq!(outcomes(&mem), before);
+    }
+
+    #[test]
+    fn never_stored_memory_holds_no_buffer() {
+        let mut mem = Memory::new(crate::NodeConfig::DEFAULT_MEM_BYTES);
+        mem.load(0, 4).unwrap();
+        assert!(mem.bytes.is_empty());
+        assert_eq!(mem.len(), crate::NodeConfig::DEFAULT_MEM_BYTES);
+        mem.store(8, 2, 1).unwrap();
+        assert_eq!(mem.bytes.len(), crate::NodeConfig::DEFAULT_MEM_BYTES);
+    }
+
+    #[test]
+    fn last_valid_word_round_trips() {
+        let mut mem = Memory::new(16);
+        mem.store(12, 4, 0xdead_beef).unwrap();
+        assert_eq!(mem.load(12, 4), Ok(0xdead_beef));
+        assert_eq!(mem.load(15, 1), Ok(0xde));
+        assert_eq!(mem.load(0, 4), Ok(0));
+    }
+
+    #[test]
+    fn memory_equality_is_by_content() {
+        let untouched = Memory::new(8);
+        let mut zeroed = Memory::new(8);
+        zeroed.store(4, 4, 0).unwrap();
+        assert_eq!(untouched, zeroed);
+        assert_eq!(zeroed, untouched);
+        zeroed.store(4, 1, 1).unwrap();
+        assert_ne!(untouched, zeroed);
+        assert_ne!(zeroed, untouched);
+        assert_ne!(Memory::new(8), Memory::new(16));
     }
 
     #[test]

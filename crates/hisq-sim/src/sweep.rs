@@ -47,7 +47,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use hisq_json::Json;
 
@@ -401,11 +400,11 @@ impl<T: Clone> SweepGrid<T> {
 
 /// A scoped worker pool executing scenarios in parallel.
 ///
-/// Workers pull scenario indices from a shared cursor and write each
-/// finished [`SweepRecord`] into the result slot of its scenario, so
-/// the report order — and hence the JSON output — is independent of
-/// scheduling. With `threads == 1` the sweep runs inline on the caller
-/// thread (no spawn overhead, identical results).
+/// Workers pull scenario indices one at a time from a shared cursor,
+/// in input order, and each finished [`SweepRecord`] lands at its
+/// scenario's index, so the report order — and hence the JSON output —
+/// is independent of scheduling. With `threads == 1` the sweep runs
+/// inline on the caller thread (no spawn overhead, identical results).
 #[derive(Debug, Clone, Copy)]
 pub struct SweepRunner {
     threads: usize,
@@ -452,54 +451,40 @@ impl SweepRunner {
             return items.iter().enumerate().map(|(i, s)| run(i, s)).collect();
         }
 
+        // Unit self-scheduling: each worker claims the next index with
+        // one fetch-add, so workers take items in input order and a
+        // caller that puts its slowest or first-needed items at the
+        // front sees them start in parallel. Each worker keeps its
+        // results locally; sorting them by index after the join makes
+        // result order input order regardless of which worker ran what.
         let cursor = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<R>>> = {
-            let mut v = Vec::with_capacity(items.len());
-            v.resize_with(items.len(), || None);
-            Mutex::new(v)
-        };
         let workers = self.threads.min(items.len());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut batch: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        // Chunked self-scheduling: claim a contiguous
-                        // run of indices per fetch instead of one, so
-                        // the cursor is touched O(threads · log n)
-                        // times rather than once per scenario. The
-                        // chunk shrinks as the sweep drains (quarter
-                        // of a fair share of what's left), which keeps
-                        // the tail balanced when scenario costs are
-                        // uneven.
-                        let claim_base = cursor.load(Ordering::Relaxed);
-                        let remaining = items.len().saturating_sub(claim_base);
-                        let chunk = (remaining / (workers * 4)).max(1);
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= items.len() {
-                            break;
+        let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut done = Vec::new();
+                        loop {
+                            let index = cursor.fetch_add(1, Ordering::Relaxed);
+                            if index >= items.len() {
+                                break done;
+                            }
+                            done.push((index, run(index, &items[index])));
                         }
-                        let end = (start + chunk).min(items.len());
-                        batch.clear();
-                        batch.extend((start..end).map(|i| (i, run(i, &items[i]))));
-                        // One lock round per chunk; every record still
-                        // lands at its scenario's own index, so result
-                        // order is input order regardless of which
-                        // worker claimed which chunk.
-                        let mut slots = slots.lock().expect("result lock");
-                        for (index, result) in batch.drain(..) {
-                            slots[index] = Some(result);
-                        }
-                    }
-                });
-            }
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|handle| {
+                    handle
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+                .collect()
         });
-        slots
-            .into_inner()
-            .expect("workers joined")
-            .into_iter()
-            .map(|slot| slot.expect("every index executed"))
-            .collect()
+        done.sort_unstable_by_key(|&(index, _)| index);
+        done.into_iter().map(|(_, result)| result).collect()
     }
 }
 
@@ -559,16 +544,14 @@ mod tests {
     }
 
     #[test]
-    fn chunked_claiming_lands_records_in_input_order() {
-        // Sizes chosen to exercise the chunk-size ramp: large enough
-        // that early fetches claim multi-index chunks, awkward enough
-        // (odd count, more than threads·4 items) that the final chunks
-        // shrink to single indices and the last claim is partial.
-        for (len, threads) in [(1usize, 4usize), (7, 2), (97, 3), (256, 8)] {
+    fn unit_claiming_lands_records_in_input_order() {
+        // One item, fewer items than threads, an odd count that does
+        // not divide among the workers, and many items per worker.
+        for (len, threads) in [(1usize, 4usize), (3, 8), (7, 2), (97, 3), (256, 8)] {
             let items: Vec<usize> = (0..len).collect();
             let results = SweepRunner::new(threads).map(&items, |i, &s| {
                 assert_eq!(i, s, "worker received the wrong scenario");
-                // Uneven work so chunks finish out of claim order.
+                // Uneven work so items finish out of claim order.
                 let mut acc = s as u64;
                 for _ in 0..(s % 5) * 400 {
                     acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -580,6 +563,36 @@ mod tests {
                 assert_eq!(slot, *index, "len={len} threads={threads}");
             }
         }
+    }
+
+    #[test]
+    fn the_first_items_start_on_different_workers() {
+        // Items 0 and 1 each wait for the other to start. That only
+        // happens if two workers hold them at once: a worker that
+        // claimed both in one chunk would run them one after another
+        // and time out.
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        let started = [AtomicBool::new(false), AtomicBool::new(false)];
+        let items: Vec<usize> = (0..16).collect();
+        let met = SweepRunner::new(2).map(&items, |i, _| {
+            let Some(mine) = started.get(i) else {
+                return true;
+            };
+            mine.store(true, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !started[1 - i].load(Ordering::SeqCst) {
+                if Instant::now() > deadline {
+                    return false;
+                }
+                std::thread::yield_now();
+            }
+            true
+        });
+        assert!(
+            met.iter().all(|&m| m),
+            "items 0 and 1 ran one after another"
+        );
     }
 
     #[test]

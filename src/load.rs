@@ -80,7 +80,9 @@ use hisq_sim::queue::{CalendarQueue, EventQueue};
 use hisq_sim::SweepRecord;
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::runner::{run_from_artifact, CompileCache, RunnerError, Scenario, ScenarioReport};
+use crate::runner::{
+    run_from_artifact, CompileCache, CompileKey, RunnerError, Scenario, ScenarioReport,
+};
 use crate::stats::percentile_nearest_rank;
 use crate::testing::fnv1a64;
 
@@ -725,6 +727,16 @@ fn merged_arrivals(spec: &LoadSpec, seed: u64) -> Vec<Arrival> {
 /// service, any run-stage [`RunnerError`] of the per-job inner runs
 /// (attributed to the inner job's own scenario id).
 pub fn run_load(scenario: &Scenario, cache: &CompileCache) -> Result<LoadOutcome, RunnerError> {
+    run_load_keyed(scenario, cache, &scenario.compile_key())
+}
+
+/// [`run_load`] with the scenario's compile key already computed (the
+/// load block is run-stage, so the scenario and its job type share it).
+fn run_load_keyed(
+    scenario: &Scenario,
+    cache: &CompileCache,
+    key: &CompileKey,
+) -> Result<LoadOutcome, RunnerError> {
     let id = scenario.id();
     let spec = scenario.load.as_ref().ok_or_else(|| RunnerError::Load {
         id: id.clone(),
@@ -746,7 +758,7 @@ pub fn run_load(scenario: &Scenario, cache: &CompileCache) -> Result<LoadOutcome
     let mut job_type = scenario.clone();
     job_type.load = None;
     let artifact = cache
-        .get_or_compile(&job_type)
+        .get_or_compile(&job_type, key)
         .map_err(|e| e.with_id(&id))?;
 
     let arrivals = merged_arrivals(spec, scenario.seed);
@@ -910,11 +922,12 @@ pub fn run_load(scenario: &Scenario, cache: &CompileCache) -> Result<LoadOutcome
 /// # Errors
 ///
 /// As [`run_load`].
-pub fn load_record(
+pub(crate) fn load_record(
     scenario: &Scenario,
     cache: &CompileCache,
+    key: &CompileKey,
 ) -> Result<ScenarioReport, RunnerError> {
-    Ok(run_load(scenario, cache)?.record(scenario.id()))
+    Ok(run_load_keyed(scenario, cache, key)?.record(scenario.id()))
 }
 
 #[cfg(test)]

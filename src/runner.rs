@@ -41,7 +41,7 @@
 //! assert_eq!(report.summary()["all_halted"].sum, 4.0, "every run halts");
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -1292,23 +1292,25 @@ impl CompileCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// The artifact for `scenario`'s compile key, compiling it on this
-    /// thread if no worker has yet. Errors come back *without* a
-    /// scenario id (the caller stamps its own via `with_id`).
+    /// The artifact for `scenario`, whose compile key is `key`,
+    /// compiling it on this thread if no worker has yet. Errors come
+    /// back *without* a scenario id (the caller stamps its own via
+    /// `with_id`).
     pub(crate) fn get_or_compile(
         &self,
         scenario: &Scenario,
+        key: &CompileKey,
     ) -> Result<Arc<CompiledArtifact>, RunnerError> {
-        let key = scenario.compile_key();
         let mut hasher = std::hash::DefaultHasher::new();
         key.hash(&mut hasher);
         let shard = &self.shards[hasher.finish() as usize % CACHE_SHARDS];
-        let cell = shard
-            .lock()
-            .expect("compile-cache shard lock")
-            .entry(key)
-            .or_default()
-            .clone();
+        let cell = {
+            let mut shard = shard.lock().expect("compile-cache shard lock");
+            match shard.get(key) {
+                Some(cell) => cell.clone(),
+                None => shard.entry(key.clone()).or_default().clone(),
+            }
+        };
         let mut compiled_here = false;
         let result = cell.get_or_init(|| {
             compiled_here = true;
@@ -1322,17 +1324,23 @@ impl CompileCache {
         result.clone()
     }
 
-    /// Runs `scenario` with its compile stage served from this cache —
-    /// the per-point body of [`run_sweep_cached`] and, over a fresh
-    /// cache, of [`run_scenario`]. Load scenarios run the multi-tenant
-    /// job engine instead: every job is an instance of the scenario
-    /// (minus the load block), compiled once through this cache.
-    pub(crate) fn run(&self, scenario: &Scenario) -> Result<ScenarioReport, RunnerError> {
+    /// Runs `scenario`, whose compile key is `key`, with its compile
+    /// stage served from this cache — the per-point body of
+    /// [`run_sweep_cached`] and, over a fresh cache, of
+    /// [`run_scenario`]. Load scenarios run the multi-tenant job engine
+    /// instead: every job is an instance of the scenario (minus the
+    /// load block, which `key` ignores), compiled once through this
+    /// cache.
+    pub(crate) fn run(
+        &self,
+        scenario: &Scenario,
+        key: &CompileKey,
+    ) -> Result<ScenarioReport, RunnerError> {
         if scenario.load.is_some() {
-            return crate::load::load_record(scenario, self);
+            return crate::load::load_record(scenario, self, key);
         }
         let artifact = self
-            .get_or_compile(scenario)
+            .get_or_compile(scenario, key)
             .map_err(|e| e.with_id(&scenario.id()))?;
         run_from_artifact(scenario, &artifact)
     }
@@ -1375,7 +1383,7 @@ pub fn compile_scenario(scenario: &Scenario) -> Result<CompiledArtifact, RunnerE
 /// compilation fails, node addresses collide, or the simulation faults
 /// — all reported with the scenario id for context.
 pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, RunnerError> {
-    CompileCache::new().run(scenario)
+    CompileCache::new().run(scenario, &scenario.compile_key())
 }
 
 /// Builds the ready-to-run [`System`] a scenario describes — surgery,
@@ -1634,9 +1642,29 @@ pub fn run_sweep_cached(
     threads: usize,
     cache: &CompileCache,
 ) -> Result<SweepReport, RunnerError> {
-    let results = SweepRunner::new(threads).map(scenarios, |_, scenario| cache.run(scenario));
-    let records = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+    // Each key's first scenario (its leader) runs ahead of every
+    // repeat, so distinct keys compile in parallel and a repeat only
+    // starts once its leader has been claimed.
+    let keys: Vec<CompileKey> = scenarios.iter().map(Scenario::compile_key).collect();
+    let order = leaders_first(&keys);
+    let results = SweepRunner::new(threads).map(&order, |_, &i| cache.run(&scenarios[i], &keys[i]));
+    let mut results: Vec<_> = order.into_iter().zip(results).collect();
+    results.sort_unstable_by_key(|&(i, _)| i);
+    let records = results
+        .into_iter()
+        .map(|(_, result)| result)
+        .collect::<Result<Vec<_>, _>>()?;
     Ok(SweepReport::from_records(records))
+}
+
+/// An execution order over `keys`' indices: the first index of each
+/// distinct key in input order, then every other index in input order.
+fn leaders_first<K: Hash + Eq>(keys: &[K]) -> Vec<usize> {
+    let mut seen = HashSet::with_capacity(keys.len());
+    let (mut order, repeats): (Vec<usize>, Vec<usize>) =
+        (0..keys.len()).partition(|&i| seen.insert(&keys[i]));
+    order.extend(repeats);
+    order
 }
 
 /// [`run_sweep`] with a fresh compile per grid point (the pre-cache
@@ -1654,4 +1682,23 @@ pub fn run_sweep_uncached(
     let results = SweepRunner::new(threads).map(scenarios, |_, scenario| run_scenario(scenario));
     let records = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     Ok(SweepReport::from_records(records))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::leaders_first;
+
+    #[test]
+    fn leaders_run_first_and_repeats_keep_input_order() {
+        let keys = ["a", "b", "a", "c", "b", "a", "c"];
+        assert_eq!(leaders_first(&keys), vec![0, 1, 3, 2, 4, 5, 6]);
+    }
+
+    #[test]
+    fn all_distinct_or_all_equal_keys_keep_the_input_order() {
+        let identity: Vec<usize> = (0..5).collect();
+        assert_eq!(leaders_first(&[1, 2, 3, 4, 5]), identity);
+        assert_eq!(leaders_first(&[7; 5]), identity);
+        assert_eq!(leaders_first::<u8>(&[]), Vec::<usize>::new());
+    }
 }

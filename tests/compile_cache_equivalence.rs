@@ -11,6 +11,7 @@
 
 use proptest::prelude::*;
 
+use distributed_hisq::quantum::NoiseModel;
 use distributed_hisq::runner::{
     compile_scenario, run_sweep_cached, run_sweep_uncached, CompileCache, Scenario, SurgeryOp,
     SystemParams,
@@ -70,6 +71,41 @@ fn cached_sweeps_are_byte_identical_to_uncached_on_1_and_4_threads() {
                 "{name}: at most one compile per grid point"
             );
         }
+    }
+}
+
+#[test]
+fn multi_key_grids_are_byte_identical_on_any_thread_count() {
+    // 3 workloads × 2 noise settings × 2 seeds: three compile keys
+    // (noise and seed are run-stage), interleaved so every key's
+    // leader has repeats both right behind it and further down.
+    let noisy = NoiseModel::NOISELESS.with_gate_errors(1e-4, 1e-3);
+    let mut scenarios = Vec::new();
+    for noise in [NoiseModel::NOISELESS, noisy] {
+        for seed in [1u64, 2] {
+            for workload in ["w_state_n12", "qft_n10", "bv_n16"] {
+                let mut scenario =
+                    Scenario::new(WorkloadSpec::suite(workload), Scheme::Bisp).with_seed(seed);
+                scenario.params.noise = noise;
+                scenarios.push(scenario);
+            }
+        }
+    }
+    let reference = run_sweep_uncached(&scenarios, 1)
+        .expect("uncached sweep runs")
+        .to_json();
+    for threads in [1usize, 2, 4] {
+        let cache = CompileCache::new();
+        let cached = run_sweep_cached(&scenarios, threads, &cache)
+            .expect("cached sweep runs")
+            .to_json();
+        assert_eq!(cached, reference, "{threads} thread(s)");
+        assert_eq!(
+            cache.misses(),
+            3,
+            "one compile per key on {threads} thread(s)"
+        );
+        assert_eq!(cache.hits(), 9, "{threads} thread(s)");
     }
 }
 
