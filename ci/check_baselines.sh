@@ -25,7 +25,7 @@ cd "$(dirname "$0")/.."
 
 DIFF_DIR="${DIFF_DIR:-target/baseline-diff}"
 
-BASELINED_BINS=(fig_contention fig_hetero fig_load fig_noise fig_scale)
+BASELINED_BINS=(fig15 fig16 fig_contention fig_hetero fig_load fig_noise fig_scale)
 
 rm -rf "$DIFF_DIR"
 mkdir -p "$DIFF_DIR"

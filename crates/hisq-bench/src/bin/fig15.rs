@@ -16,7 +16,7 @@ fn main() {
     } else {
         SuiteScale::Paper
     };
-    let scenarios = fig15_scenarios(scale, 15);
+    let scenarios = fig15_scenarios(scale, 15).expand(None);
     eprintln!(
         "[fig15] running {} scenarios on {} thread(s)...",
         scenarios.len(),

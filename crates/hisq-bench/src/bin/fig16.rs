@@ -15,7 +15,7 @@ fn main() {
         &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
     };
     let t_points: Vec<f64> = steps.iter().map(|&i| 30.0 * i as f64).collect();
-    let scenarios = fig16_scenarios(&t_points);
+    let scenarios = fig16_scenarios(&t_points).expand(None);
     let report = run_sweep(&scenarios, args.threads).unwrap_or_else(|e| {
         eprintln!("fig16: {e}");
         std::process::exit(1);

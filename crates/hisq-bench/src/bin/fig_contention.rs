@@ -24,7 +24,7 @@ use hisq_bench::figures::{fig_contention_rows, fig_contention_scenarios};
 
 fn main() {
     let args = FigArgs::parse();
-    let scenarios = fig_contention_scenarios(args.quick);
+    let scenarios = fig_contention_scenarios(args.quick).expand(None);
     eprintln!(
         "[fig_contention] running {} scenarios on {} thread(s)...",
         scenarios.len(),

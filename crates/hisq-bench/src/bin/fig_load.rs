@@ -20,7 +20,7 @@ use hisq_bench::load::{fig_load_points, fig_load_scenarios};
 
 fn main() {
     let args = FigArgs::parse();
-    let scenarios = fig_load_scenarios(args.quick);
+    let scenarios = fig_load_scenarios(args.quick).expand(None);
     eprintln!(
         "[fig_load] running {} load points on {} thread(s)...",
         scenarios.len(),

@@ -26,7 +26,7 @@ use hisq_bench::figures::{fig_noise_points, fig_noise_scenarios};
 
 fn main() {
     let args = FigArgs::parse();
-    let scenarios = fig_noise_scenarios(args.quick);
+    let scenarios = fig_noise_scenarios(args.quick).expand(None);
     eprintln!(
         "[fig_noise] running {} scenarios on {} thread(s)...",
         scenarios.len(),

@@ -146,7 +146,7 @@ fn main() {
     // Read the committed baseline before measuring.
     let committed = if gate { committed_rows() } else { Vec::new() };
 
-    let scenarios = throughput_scenarios(args.quick);
+    let scenarios = throughput_scenarios(args.quick).expand(None);
     let keys = compile_keys(&scenarios);
     let thread_axis: Vec<usize> = if threads_given {
         vec![args.threads]

@@ -1,20 +1,20 @@
 //! Data producers for every figure of the paper's evaluation. The
 //! `src/bin/` harnesses print these; the criterion benches measure
-//! them. The scenario-driven figures (15, 16, and the contention
-//! extension) ride the sweep engine: they expand a [`SweepGrid`] of
-//! [`Scenario`]s and distill the aggregated records back into figure
+//! them. The scenario-driven figures (15, 16, and the contention,
+//! noise and heterogeneous-fabric extensions) ride the sweep engine:
+//! each builds its grid as a [`ScenarioFile`], expands it into
+//! [`Scenario`]s and distills the aggregated records back into figure
 //! rows/points.
 
 use distributed_hisq::compiler::{compile_bisp, BispOptions, Scheme};
 use distributed_hisq::quantum::Circuit;
 use distributed_hisq::runner::{run_sweep, LinkOverride, NoiseOverride, Scenario, SystemParams};
+use distributed_hisq::scenario::{Axis, ScenarioFile};
 use distributed_hisq::workloads::{SuiteScale, WorkloadSpec};
 use hisq_core::NodeConfig;
 use hisq_isa::Assembler;
 use hisq_net::TopologyBuilder;
-use hisq_sim::{
-    LinkModel, NoiseModel, SweepGrid, SweepRecord, SweepReport, SweepRunner, SystemSpec, Telf,
-};
+use hisq_sim::{LinkModel, NoiseModel, SweepRecord, SweepReport, SweepRunner, SystemSpec, Telf};
 
 /// Figure 5(a): nearby BISP synchronization timing.
 #[derive(Debug, Clone, Copy)]
@@ -364,18 +364,19 @@ pub struct Fig15Row {
     pub lockstep_instructions: u64,
 }
 
-/// Expands the Figure 15 scenario grid: every suite instance of the
-/// scale under both schemes (scheme varies fastest, so records pair up
-/// as consecutive bisp/lockstep twins).
-pub fn fig15_scenarios(scale: SuiteScale, seed: u64) -> Vec<Scenario> {
-    SweepGrid::new(Scenario::new(WorkloadSpec::suite(""), Scheme::Bisp).with_seed(seed))
-        .axis(WorkloadSpec::suite_specs(scale), |s, workload| {
-            s.workload = workload.clone()
-        })
-        .axis([Scheme::Bisp, Scheme::Lockstep], |s, &scheme| {
-            s.scheme = scheme
-        })
-        .into_points()
+/// The Figure 15 scenario grid: every suite instance of the scale
+/// under both schemes (scheme varies fastest, so records pair up as
+/// consecutive bisp/lockstep twins).
+pub fn fig15_scenarios(scale: SuiteScale, seed: u64) -> ScenarioFile {
+    let workloads = WorkloadSpec::suite_specs(scale);
+    let base = Scenario::new(workloads[0].clone(), Scheme::Bisp).with_seed(seed);
+    ScenarioFile {
+        axes: vec![
+            Axis::Workload(workloads),
+            Axis::Scheme(vec![Scheme::Bisp, Scheme::Lockstep]),
+        ],
+        ..ScenarioFile::new("fig15", base)
+    }
 }
 
 /// Distills an executed Figure 15 sweep back into figure rows, pairing
@@ -445,8 +446,8 @@ pub struct Fig16Point {
     pub reduction_ratio: f64,
 }
 
-/// Expands the Figure 16 scenario grid: the simultaneous long-range
-/// CNOT workload under both schemes at every coherence point (scheme
+/// The Figure 16 scenario grid: the simultaneous long-range CNOT
+/// workload under both schemes at every coherence point (scheme
 /// varies fastest, so records pair up per T1 point).
 ///
 /// The long-range CNOT serves the cross-chip scenario of §2.1.1; the
@@ -462,7 +463,7 @@ pub struct Fig16Point {
 /// scenario under the uniform sweep contract (so the grid parallelizes
 /// and the JSON stays per-point), and the circuit simulates in
 /// milliseconds.
-pub fn fig16_scenarios(t_us_points: &[f64]) -> Vec<Scenario> {
+pub fn fig16_scenarios(t_us_points: &[f64]) -> ScenarioFile {
     let params = SystemParams {
         star_up_latency: 63,
         star_down_latency: 62,
@@ -472,16 +473,16 @@ pub fn fig16_scenarios(t_us_points: &[f64]) -> Vec<Scenario> {
         parallel: 4,
         span: 7,
     };
-    SweepGrid::new(
-        Scenario::new(workload, Scheme::Bisp)
-            .with_seed(16)
-            .with_params(params),
-    )
-    .axis(t_us_points.iter().copied(), |s, &t_us| s.t1_us = t_us)
-    .axis([Scheme::Bisp, Scheme::Lockstep], |s, &scheme| {
-        s.scheme = scheme
-    })
-    .into_points()
+    let base = Scenario::new(workload, Scheme::Bisp)
+        .with_seed(16)
+        .with_params(params);
+    ScenarioFile {
+        axes: vec![
+            Axis::T1Us(t_us_points.to_vec()),
+            Axis::Scheme(vec![Scheme::Bisp, Scheme::Lockstep]),
+        ],
+        ..ScenarioFile::new("fig16", base)
+    }
 }
 
 /// Distills an executed Figure 16 sweep back into figure points.
@@ -521,7 +522,7 @@ pub fn fig16_points(scenarios: &[Scenario], report: &SweepReport) -> Vec<Fig16Po
 /// Runs the Figure 16 experiment on one thread: simulate both schemes
 /// at every coherence point and score the output data qubits.
 pub fn fig16_sweep(t_us_points: &[f64]) -> Vec<Fig16Point> {
-    let scenarios = fig16_scenarios(t_us_points);
+    let scenarios = fig16_scenarios(t_us_points).expand(None);
     let report = run_sweep(&scenarios, 1).expect("figure scenarios are well-formed");
     fig16_points(&scenarios, &report)
 }
@@ -535,10 +536,10 @@ const FIG_CONTENTION_SEED: u64 = 21;
 /// controllers: 15/31/63/127 for parallel = 1/2/4/8).
 const FIG_CONTENTION_SPAN: usize = 7;
 
-/// Expands the contention sweep grid: the simultaneous long-range CNOT
+/// The contention sweep grid: the simultaneous long-range CNOT
 /// workload at several controller counts (≈8–128) under both schemes,
 /// across a link-serialization axis — `link_model` as a first-class
-/// [`SweepGrid`] axis. The serialization axis varies fastest, then the
+/// [`Axis`]. The serialization axis varies fastest, then the
 /// scheme, then the size, so records group naturally per (size, scheme)
 /// block.
 ///
@@ -551,35 +552,34 @@ const FIG_CONTENTION_SPAN: usize = 7;
 /// number of simultaneous results — while BISP's corrections ride
 /// dedicated point-to-point mesh links that never carry more than one
 /// gadget's traffic.
-pub fn fig_contention_scenarios(quick: bool) -> Vec<Scenario> {
+pub fn fig_contention_scenarios(quick: bool) -> ScenarioFile {
     let parallel: &[usize] = if quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
     let serialization_ns: &[u64] = if quick {
         &[0, 16, 64]
     } else {
         &[0, 8, 16, 32, 64]
     };
-    let base = Scenario::new(
-        WorkloadSpec::LongRangeCnots {
-            parallel: 1,
+    let workloads: Vec<WorkloadSpec> = parallel
+        .iter()
+        .map(|&parallel| WorkloadSpec::LongRangeCnots {
+            parallel,
             span: FIG_CONTENTION_SPAN,
-        },
-        Scheme::Bisp,
-    )
-    .with_seed(FIG_CONTENTION_SEED);
-    SweepGrid::new(base)
-        .axis(parallel.iter().copied(), |s, &p| {
-            s.workload = WorkloadSpec::LongRangeCnots {
-                parallel: p,
-                span: FIG_CONTENTION_SPAN,
-            }
         })
-        .axis([Scheme::Bisp, Scheme::Lockstep], |s, &scheme| {
-            s.scheme = scheme
-        })
-        .axis(serialization_ns.iter().copied(), |s, &ns| {
-            s.params.link_model = LinkModel::serialized(ns)
-        })
-        .into_points()
+        .collect();
+    let base = Scenario::new(workloads[0].clone(), Scheme::Bisp).with_seed(FIG_CONTENTION_SEED);
+    ScenarioFile {
+        axes: vec![
+            Axis::Workload(workloads),
+            Axis::Scheme(vec![Scheme::Bisp, Scheme::Lockstep]),
+            Axis::LinkModel(
+                serialization_ns
+                    .iter()
+                    .map(|&ns| LinkModel::serialized(ns))
+                    .collect(),
+            ),
+        ],
+        ..ScenarioFile::new("fig_contention", base)
+    }
 }
 
 /// One row of the contention figure: a (controller count, scheme,
@@ -667,10 +667,10 @@ pub fn fig_noise_model(p_gate_1q: f64) -> NoiseModel {
         .with_leak(p_gate_1q)
 }
 
-/// Expands the noise sweep grid: fig16's simultaneous long-range CNOT
-/// workload (4 gadgets of span 7, the cross-chip star latencies) under
-/// both schemes across a gate-error axis — `SystemParams::noise` as a
-/// first-class [`SweepGrid`] axis. The scheme varies fastest, so
+/// The noise sweep grid: fig16's simultaneous long-range CNOT workload
+/// (4 gadgets of span 7, the cross-chip star latencies) under both
+/// schemes across a gate-error axis — `SystemParams::noise` as a
+/// first-class [`Axis`]. The scheme varies fastest, so
 /// records pair up as bisp/lockstep twins per error-rate point.
 ///
 /// Where Figure 16 sweeps *coherence* (decoherence-dominated devices),
@@ -682,7 +682,7 @@ pub fn fig_noise_model(p_gate_1q: f64) -> NoiseModel {
 /// baseline/BISP infidelity ratio compresses toward 1: the
 /// gate-error-dominated regime where scheduling no longer buys
 /// fidelity.
-pub fn fig_noise_scenarios(quick: bool) -> Vec<Scenario> {
+pub fn fig_noise_scenarios(quick: bool) -> ScenarioFile {
     let p_axis: &[f64] = if quick {
         &[1e-5, 3e-4, 1e-2]
     } else {
@@ -697,18 +697,16 @@ pub fn fig_noise_scenarios(quick: bool) -> Vec<Scenario> {
         parallel: 4,
         span: 7,
     };
-    SweepGrid::new(
-        Scenario::new(workload, Scheme::Bisp)
-            .with_seed(FIG_NOISE_SEED)
-            .with_params(params),
-    )
-    .axis(p_axis.iter().copied(), |s, &p| {
-        s.params.noise = fig_noise_model(p)
-    })
-    .axis([Scheme::Bisp, Scheme::Lockstep], |s, &scheme| {
-        s.scheme = scheme
-    })
-    .into_points()
+    let base = Scenario::new(workload, Scheme::Bisp)
+        .with_seed(FIG_NOISE_SEED)
+        .with_params(params);
+    ScenarioFile {
+        axes: vec![
+            Axis::Noise(p_axis.iter().map(|&p| fig_noise_model(p)).collect()),
+            Axis::Scheme(vec![Scheme::Bisp, Scheme::Lockstep]),
+        ],
+        ..ScenarioFile::new("fig_noise", base)
+    }
 }
 
 /// One point of the noise sweep: a gate-error rate with both schemes'
@@ -808,9 +806,9 @@ pub struct FigHeteroGrid {
     /// The scored record metric (`makespan_ns` for hot-edge grids,
     /// `noise_infidelity` for hot-qubit grids).
     pub metric: &'static str,
-    /// The oblivious scenario; the aware twin differs only in
-    /// `params.fabric_aware`.
-    pub base: Scenario,
+    /// The oblivious scenario with a `fabric_aware` axis of
+    /// `[false, true]`, so the aware twin differs only in that flag.
+    pub file: ScenarioFile,
 }
 
 /// The heterogeneous-fabric grids: hot-edge grids scored on makespan
@@ -842,25 +840,34 @@ pub fn fig_hetero_grids(quick: bool) -> Vec<FigHeteroGrid> {
             noise: fig_noise_model(3e-3),
         }];
     };
+    let grid = |name, kind, metric, base| FigHeteroGrid {
+        name,
+        kind,
+        metric,
+        file: ScenarioFile {
+            axes: vec![Axis::FabricAware(vec![false, true])],
+            ..ScenarioFile::new(name, base)
+        },
+    };
+    let adder =
+        || Scenario::new(WorkloadSpec::suite("adder_n13"), Scheme::Bisp).with_seed(FIG_HETERO_SEED);
     let mut grids = Vec::new();
-    let mut base =
-        Scenario::new(WorkloadSpec::suite("adder_n13"), Scheme::Bisp).with_seed(FIG_HETERO_SEED);
+    let mut base = adder();
     hot_edge(&mut base);
-    grids.push(FigHeteroGrid {
-        name: "adder_n13 / heated link 4-5",
-        kind: "edge",
-        metric: "makespan_ns",
+    grids.push(grid(
+        "adder_n13 / heated link 4-5",
+        "edge",
+        "makespan_ns",
         base,
-    });
-    let mut base =
-        Scenario::new(WorkloadSpec::suite("adder_n13"), Scheme::Bisp).with_seed(FIG_HETERO_SEED);
+    ));
+    let mut base = adder();
     hot_qubit(&mut base, FIG_HETERO_HOT_QUBIT);
-    grids.push(FigHeteroGrid {
-        name: "adder_n13 / heated qubit 5",
-        kind: "qubit",
-        metric: "noise_infidelity",
+    grids.push(grid(
+        "adder_n13 / heated qubit 5",
+        "qubit",
+        "noise_infidelity",
         base,
-    });
+    ));
     if !quick {
         // The span-7 long-range gadget's heated ancilla is a
         // *declined* swap: site 12 hosts more operations than its
@@ -876,24 +883,23 @@ pub fn fig_hetero_grids(quick: bool) -> Vec<FigHeteroGrid> {
         )
         .with_seed(FIG_HETERO_SEED);
         hot_qubit(&mut base, 12);
-        grids.push(FigHeteroGrid {
-            name: "longrange p1 s7 / heated qubit 12",
-            kind: "qubit",
-            metric: "noise_infidelity",
+        grids.push(grid(
+            "longrange p1 s7 / heated qubit 12",
+            "qubit",
+            "noise_infidelity",
             base,
-        });
+        ));
         // Compound heat: the same reversal dodges the heated link
         // *and* the heated site at once, scored on the error budget.
-        let mut base = Scenario::new(WorkloadSpec::suite("adder_n13"), Scheme::Bisp)
-            .with_seed(FIG_HETERO_SEED);
+        let mut base = adder();
         hot_edge(&mut base);
         hot_qubit(&mut base, FIG_HETERO_HOT_QUBIT);
-        grids.push(FigHeteroGrid {
-            name: "adder_n13 / heated link + qubit",
-            kind: "qubit",
-            metric: "noise_infidelity",
+        grids.push(grid(
+            "adder_n13 / heated link + qubit",
+            "qubit",
+            "noise_infidelity",
             base,
-        });
+        ));
     }
     grids
 }
@@ -903,14 +909,8 @@ pub fn fig_hetero_grids(quick: bool) -> Vec<FigHeteroGrid> {
 /// records pair up per grid exactly like the other paired sweeps).
 pub fn fig_hetero_scenarios(quick: bool) -> Vec<Scenario> {
     fig_hetero_grids(quick)
-        .into_iter()
-        .flat_map(|grid| {
-            [false, true].into_iter().map(move |aware| {
-                let mut s = grid.base.clone();
-                s.params.fabric_aware = aware;
-                s
-            })
-        })
+        .iter()
+        .flat_map(|grid| grid.file.expand(None))
         .collect()
 }
 
@@ -1058,7 +1058,7 @@ mod tests {
 
     #[test]
     fn fig_noise_ratio_compresses_as_gate_error_dominates() {
-        let scenarios = fig_noise_scenarios(true);
+        let scenarios = fig_noise_scenarios(true).expand(None);
         let report = run_sweep(&scenarios, 1).expect("noise scenarios are well-formed");
         let points = fig_noise_points(&scenarios, &report);
         assert_eq!(points.len(), 3, "quick axis has three error rates");

@@ -14,12 +14,18 @@
 //! | Figures 12/13 (electronics sync) | [`figures::fig13_waveforms`] | `fig13` |
 //! | Figure 15 (runtime vs baseline) | [`figures::fig15_scenarios`] | `fig15` |
 //! | Figure 16 (infidelity vs T1) | [`figures::fig16_scenarios`] | `fig16` |
+//! | Link contention (beyond the paper) | [`figures::fig_contention_scenarios`] | `fig_contention` |
+//! | Gate-error noise (beyond the paper) | [`figures::fig_noise_scenarios`] | `fig_noise` |
+//! | Heterogeneous fabric (beyond the paper) | [`figures::fig_hetero_grids`] | `fig_hetero` |
 //! | Sweep throughput (beyond the paper) | [`sweep_throughput::throughput_scenarios`] | `fig_sweep_throughput` |
 //! | Multi-tenant saturation (beyond the paper) | [`load::fig_load_scenarios`] | `fig_load` |
 //!
 //! Every binary shares the [`cli::FigArgs`] flag surface
-//! (`--threads N`, `--json`, `--quick`); the scenario-driven harnesses
-//! fan their grids out over the `hisq_sim::sweep` worker pool.
+//! (`--threads N`, `--json`, `--quick`). The scenario-driven functions
+//! return their grid as a `distributed_hisq::scenario::ScenarioFile`
+//! (one per heterogeneous-fabric grid), the same format `hisq run`
+//! reads; the harness expands it and fans the scenarios out over the
+//! `hisq_sim::sweep` worker pool.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

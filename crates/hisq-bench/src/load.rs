@@ -23,6 +23,7 @@
 use distributed_hisq::compiler::Scheme;
 use distributed_hisq::load::{ArrivalStream, LoadSpec};
 use distributed_hisq::runner::Scenario;
+use distributed_hisq::scenario::{Axis, ScenarioFile};
 use hisq_sim::{SweepRecord, SweepReport};
 use hisq_workloads::WorkloadSpec;
 
@@ -97,21 +98,25 @@ pub fn fig_load_spec(rho: f64, partitions: u32, jobs: u64) -> LoadSpec {
     .with_queue_capacity(FIG_LOAD_QUEUE_CAPACITY)
 }
 
-/// The sweep grid: partitions × offered load, in axis order (rho
+/// The sweep grid: one `load` axis over partitions × offered load (rho
 /// varies fastest — [`fig_load_points`] relies on this order).
 #[must_use]
-pub fn fig_load_scenarios(quick: bool) -> Vec<Scenario> {
+pub fn fig_load_scenarios(quick: bool) -> ScenarioFile {
     let jobs = fig_load_jobs(quick);
-    fig_load_partitions(quick)
+    let loads = fig_load_partitions(quick)
         .into_iter()
         .flat_map(|partitions| {
-            fig_load_rhos(quick).into_iter().map(move |rho| {
-                Scenario::new(WorkloadSpec::suite(FIG_LOAD_WORKLOAD), Scheme::Bisp)
-                    .with_seed(FIG_LOAD_SEED)
-                    .with_load(fig_load_spec(rho, partitions, jobs))
-            })
+            fig_load_rhos(quick)
+                .into_iter()
+                .map(move |rho| fig_load_spec(rho, partitions, jobs))
         })
-        .collect()
+        .collect();
+    let base = Scenario::new(WorkloadSpec::suite(FIG_LOAD_WORKLOAD), Scheme::Bisp)
+        .with_seed(FIG_LOAD_SEED);
+    ScenarioFile {
+        axes: vec![Axis::Load(loads)],
+        ..ScenarioFile::new("fig_load", base)
+    }
 }
 
 /// One row of the human-readable figure table.
@@ -174,7 +179,7 @@ pub fn fig_load_points(quick: bool, report: &SweepReport) -> Vec<FigLoadPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use distributed_hisq::runner::{run_scenario, run_sweep};
+    use distributed_hisq::runner::run_sweep;
 
     /// The calibration constant tracks the engine: a single run of the
     /// fig workload lands within 20% of [`FIG_LOAD_SERVICE_NS`], so
@@ -183,8 +188,9 @@ mod tests {
     fn service_calibration_holds() {
         let scenario = Scenario::new(WorkloadSpec::suite(FIG_LOAD_WORKLOAD), Scheme::Bisp)
             .with_seed(FIG_LOAD_SEED);
-        let makespan = run_scenario(&scenario)
+        let makespan = run_sweep(std::slice::from_ref(&scenario), 1)
             .expect("fig workload runs")
+            .records()[0]
             .counter("makespan_ns")
             .expect("standard metric");
         let ratio = makespan as f64 / FIG_LOAD_SERVICE_NS as f64;
@@ -198,7 +204,7 @@ mod tests {
     #[test]
     fn load_scenario_ids_are_unique() {
         for quick in [true, false] {
-            let scenarios = fig_load_scenarios(quick);
+            let scenarios = fig_load_scenarios(quick).expand(None);
             let mut ids: Vec<String> = scenarios.iter().map(|s| s.id()).collect();
             ids.sort_unstable();
             ids.dedup();
@@ -212,7 +218,7 @@ mod tests {
     #[test]
     fn quick_sweep_shows_the_saturation_knee() {
         let quick = true;
-        let scenarios = fig_load_scenarios(quick);
+        let scenarios = fig_load_scenarios(quick).expand(None);
         let report = run_sweep(&scenarios, 2).expect("load grid runs");
         let points = fig_load_points(quick, &report);
         for partitions in fig_load_partitions(quick) {

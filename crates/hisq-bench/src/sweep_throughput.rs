@@ -18,11 +18,9 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use distributed_hisq::compiler::Scheme;
-use distributed_hisq::runner::{
-    run_sweep_cached, run_sweep_uncached, CompileCache, Scenario, SystemParams,
-};
+use distributed_hisq::runner::{run_sweep_cached, run_sweep_uncached, CompileCache, Scenario};
+use distributed_hisq::scenario::{Axis, ScenarioFile};
 use distributed_hisq::workloads::WorkloadSpec;
-use hisq_sim::SweepGrid;
 
 use crate::figures::fig_noise_model;
 
@@ -34,13 +32,13 @@ pub const THREAD_AXIS: [usize; 3] = [1, 4, 8];
 /// so the axis shares compiled artifacts).
 const NOISE_AXIS: [f64; 3] = [1e-5, 1e-4, 1e-3];
 
-/// Expands the throughput grid: quick-suite workloads × both schemes
+/// The throughput grid: quick-suite workloads × both schemes
 /// (the compile axes) × seeds × gate-error rates (the run-stage axes).
 ///
 /// Full shape: 2 workloads × 2 schemes × 6 seeds × 3 error rates =
 /// 72 scenarios over 4 compile keys. `--quick` trims every axis:
 /// 1 × 2 × 2 × 1 = 4 scenarios over 2 keys.
-pub fn throughput_scenarios(quick: bool) -> Vec<Scenario> {
+pub fn throughput_scenarios(quick: bool) -> ScenarioFile {
     let suites: &[&str] = if quick {
         &["w_state_n12"]
     } else {
@@ -48,23 +46,17 @@ pub fn throughput_scenarios(quick: bool) -> Vec<Scenario> {
     };
     let seeds: &[u64] = if quick { &[1, 2] } else { &[1, 2, 3, 4, 5, 6] };
     let noise: &[f64] = if quick { &[1e-4] } else { &NOISE_AXIS };
-    let mut scenarios = Vec::new();
-    for &suite in suites {
-        let base = Scenario::new(WorkloadSpec::suite(suite), Scheme::Bisp)
-            .with_params(SystemParams::default());
-        scenarios.extend(
-            SweepGrid::new(base)
-                .axis([Scheme::Bisp, Scheme::Lockstep], |s, &scheme| {
-                    s.scheme = scheme
-                })
-                .axis(seeds.iter().copied(), |s, &seed| s.seed = seed)
-                .axis(noise.iter().copied(), |s, &p| {
-                    s.params.noise = fig_noise_model(p)
-                })
-                .into_points(),
-        );
+    let workloads: Vec<WorkloadSpec> = suites.iter().map(|&s| WorkloadSpec::suite(s)).collect();
+    let base = Scenario::new(workloads[0].clone(), Scheme::Bisp);
+    ScenarioFile {
+        axes: vec![
+            Axis::Workload(workloads),
+            Axis::Scheme(vec![Scheme::Bisp, Scheme::Lockstep]),
+            Axis::Seed(seeds.to_vec()),
+            Axis::Noise(noise.iter().map(|&p| fig_noise_model(p)).collect()),
+        ],
+        ..ScenarioFile::new("fig_sweep_throughput", base)
     }
-    scenarios
 }
 
 /// Number of distinct [`CompileKey`]s in a grid — the compiles a
@@ -174,17 +166,17 @@ mod tests {
 
     #[test]
     fn the_grid_amortizes_compiles_over_run_stage_axes() {
-        let full = throughput_scenarios(false);
+        let full = throughput_scenarios(false).expand(None);
         assert_eq!(full.len(), 72);
         assert_eq!(compile_keys(&full), 4, "workload x scheme only");
-        let quick = throughput_scenarios(true);
+        let quick = throughput_scenarios(true).expand(None);
         assert_eq!(quick.len(), 4);
         assert_eq!(compile_keys(&quick), 2);
     }
 
     #[test]
     fn a_measured_row_reports_the_cache_economics() {
-        let scenarios = throughput_scenarios(true);
+        let scenarios = throughput_scenarios(true).expand(None);
         let row = measure_throughput(&scenarios, 2, 1);
         assert_eq!(row.scenarios, 4);
         assert_eq!(row.compiles, 2, "one compile per (workload, scheme)");

@@ -9,7 +9,7 @@ use hisq_bench::figures::{fig_contention_rows, fig_contention_scenarios};
 
 #[test]
 fn contention_sweep_is_deterministic_and_hub_degrades_faster() {
-    let scenarios = fig_contention_scenarios(true);
+    let scenarios = fig_contention_scenarios(true).expand(None);
     let single = run_sweep(&scenarios, 1).expect("grid runs").to_json();
     let multi = run_sweep(&scenarios, 4).expect("grid runs");
     assert_eq!(
@@ -43,7 +43,7 @@ fn contention_sweep_is_deterministic_and_hub_degrades_faster() {
 /// baseline's bytes.
 #[test]
 fn contention_sweep_json_is_pinned_byte_for_byte() {
-    let scenarios = fig_contention_scenarios(true);
+    let scenarios = fig_contention_scenarios(true).expand(None);
     let json = run_sweep(&scenarios, 2).expect("grid runs").to_json();
     assert_pinned(
         "fig_contention quick JSON",
@@ -56,7 +56,7 @@ fn contention_sweep_json_is_pinned_byte_for_byte() {
 #[test]
 fn contention_scenario_ids_are_unique() {
     for quick in [true, false] {
-        let scenarios = fig_contention_scenarios(quick);
+        let scenarios = fig_contention_scenarios(quick).expand(None);
         let mut ids: Vec<String> = scenarios.iter().map(|s| s.id()).collect();
         ids.sort_unstable();
         ids.dedup();

@@ -13,7 +13,7 @@ use hisq_workloads::WorkloadSpec;
 
 #[test]
 fn load_sweep_is_byte_identical_across_thread_counts() {
-    let scenarios = fig_load_scenarios(true);
+    let scenarios = fig_load_scenarios(true).expand(None);
     let single = run_sweep(&scenarios, 1).expect("load grid runs").to_json();
     let multi = run_sweep(&scenarios, 4).expect("load grid runs").to_json();
     assert_eq!(
@@ -28,7 +28,7 @@ fn load_sweep_is_byte_identical_across_thread_counts() {
 /// `BENCH_fig_load.json` baseline's bytes.
 #[test]
 fn load_sweep_json_is_pinned_byte_for_byte() {
-    let scenarios = fig_load_scenarios(true);
+    let scenarios = fig_load_scenarios(true).expand(None);
     let json = run_sweep(&scenarios, 2).expect("load grid runs").to_json();
     assert_pinned("fig_load quick JSON", &json, 4901, 0x53ae_2a3b_ef8d_ed75);
 }

@@ -8,7 +8,7 @@ use std::error::Error;
 
 use distributed_hisq::compiler::{compile_bisp, compile_lockstep, BispOptions, LockstepOptions};
 use distributed_hisq::net::TopologyBuilder;
-use distributed_hisq::runner::build_system;
+use distributed_hisq::runner::system_spec;
 use distributed_hisq::sim::RandomBackend;
 use distributed_hisq::workloads::{logical_t, LogicalTConfig};
 
@@ -17,13 +17,13 @@ fn run(units: usize) -> Result<(u64, u64), Box<dyn Error>> {
     let topology = TopologyBuilder::grid(instance.width, instance.height).build();
 
     let bisp = compile_bisp(&instance.circuit, &topology, &BispOptions::default())?;
-    let mut system = build_system(&bisp, Some(&topology))?;
+    let mut system = system_spec(&bisp, Some(&topology))?.build()?;
     system.set_backend(RandomBackend::new(9, 0.5));
     let bisp_report = system.run()?;
     assert!(bisp_report.all_halted);
 
     let lockstep = compile_lockstep(&instance.circuit, &LockstepOptions::default())?;
-    let mut baseline = build_system(&lockstep, None)?;
+    let mut baseline = system_spec(&lockstep, None)?.build()?;
     baseline.set_backend(RandomBackend::new(9, 0.5));
     let base_report = baseline.run()?;
     assert!(base_report.all_halted);

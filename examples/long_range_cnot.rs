@@ -12,7 +12,7 @@ use distributed_hisq::compiler::{
 };
 use distributed_hisq::net::TopologyBuilder;
 use distributed_hisq::quantum::Circuit;
-use distributed_hisq::runner::build_system;
+use distributed_hisq::runner::system_spec;
 use distributed_hisq::sim::StabilizerBackend;
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // --- Distributed-HISQ (BISP) --------------------------------------
     let bisp = compile_bisp(&physical.circuit, &topology, &BispOptions::default())?;
-    let mut system = build_system(&bisp, Some(&topology))?;
+    let mut system = system_spec(&bisp, Some(&topology))?.build()?;
     system.set_backend(StabilizerBackend::new(physical.circuit.num_qubits(), 42));
     let report = system.run()?;
     assert!(report.all_halted);
@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // --- Lock-step baseline --------------------------------------------
     let lockstep = compile_lockstep(&physical.circuit, &LockstepOptions::default())?;
-    let mut baseline = build_system(&lockstep, None)?;
+    let mut baseline = system_spec(&lockstep, None)?.build()?;
     baseline.set_backend(StabilizerBackend::new(physical.circuit.num_qubits(), 42));
     let base_report = baseline.run()?;
     assert!(base_report.all_halted);

@@ -18,7 +18,7 @@
 use std::process::ExitCode;
 
 use distributed_hisq::runner::run_sweep;
-use distributed_hisq::scenario::ScenarioFile;
+use distributed_hisq::scenario::{ScenarioFile, MAX_SCENARIOS};
 
 const USAGE: &str = "\
 usage: hisq <command> [options]
@@ -128,6 +128,16 @@ fn cmd_run(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if let Some(n) = args.repetitions {
+        let total = (file.grid_len() as u64).checked_mul(n);
+        if total.is_none_or(|total| total > MAX_SCENARIOS) {
+            eprintln!(
+                "hisq: --repetitions {n}: grid points x repetitions exceed the limit of \
+                 {MAX_SCENARIOS} scenarios"
+            );
+            return ExitCode::FAILURE;
+        }
+    }
     let scenarios = if args.quick {
         file.expand_quick()
     } else {

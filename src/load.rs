@@ -593,7 +593,7 @@ impl LoadOutcome {
 
     /// Distills the outcome into the flat [`SweepRecord`] metric bag
     /// the sweep engine aggregates (see the crate's metric-name
-    /// conventions in [`crate::runner::run_scenario`]):
+    /// conventions in [`crate::runner::run_sweep`]):
     /// `jobs_submitted`/`jobs_admitted`/`jobs_rejected`/
     /// `jobs_completed`/`jobs_in_flight` counters, `makespan_ns`
     /// (the span, so `hisq run`'s human table stays meaningful),
@@ -716,7 +716,7 @@ fn merged_arrivals(spec: &LoadSpec, seed: u64) -> Vec<Arrival> {
 
 /// Runs the job engine for a load scenario and returns the full
 /// per-job outcome (the test surface; sweep callers go through
-/// [`run_scenario`](crate::runner::run_scenario), which distills
+/// [`run_sweep`](crate::runner::run_sweep), which distills
 /// [`LoadOutcome::record`]).
 ///
 /// # Errors
@@ -916,7 +916,7 @@ fn run_load_keyed(
 }
 
 /// [`run_load`] distilled into the sweep record
-/// [`run_scenario`](crate::runner::run_scenario) returns for load
+/// [`run_sweep`](crate::runner::run_sweep) returns for load
 /// scenarios.
 ///
 /// # Errors

@@ -8,33 +8,35 @@
 //!    ([`WorkloadSpec`]), an execution scheme ([`Scheme`]), the system
 //!    parameters ([`SystemParams`]), a backend seed, and the coherence
 //!    time the fidelity model scores against.
-//! 2. [`run_scenario`] executes one point: builds the circuit, the
-//!    topology, compiles under the scheme, simulates, and distills the
-//!    paper's metrics into a [`SweepRecord`].
-//! 3. [`run_sweep`] fans a whole scenario list out over a
-//!    [`hisq_sim::SweepRunner`] worker pool and aggregates the records
-//!    into a deterministic [`SweepReport`] — the substrate behind every
-//!    `fig*`/`table1` binary's `--threads N --json` path.
+//! 2. [`run_sweep`] runs a whole scenario list — build the circuit and
+//!    the topology, compile under the scheme, simulate, and distill the
+//!    paper's metrics into one [`SweepRecord`] per point — on a
+//!    [`hisq_sim::SweepRunner`] worker pool, and aggregates the records
+//!    into a deterministic [`SweepReport`]: the substrate behind every
+//!    `fig*` binary's `--threads N --json` path and `hisq run`.
 //!
-//! The lower-level pieces ([`system_spec`], [`build_system`]) stay
-//! public for callers that bring their own compiled programs.
+//! The lower-level [`system_spec`] stays public for callers that bring
+//! their own compiled programs; `system_spec(..)?.build()` gives a
+//! ready-to-run [`System`].
 //!
 //! # Example
 //!
 //! ```
 //! use distributed_hisq::runner::{run_sweep, Scenario};
 //! use distributed_hisq::compiler::Scheme;
+//! use distributed_hisq::scenario::{Axis, ScenarioFile};
 //! use distributed_hisq::workloads::WorkloadSpec;
-//! use distributed_hisq::sim::SweepGrid;
 //!
 //! // Both schemes on one quick workload, two seeds: a 1×2×2 grid.
-//! let scenarios = SweepGrid::new(Scenario::new(
-//!         WorkloadSpec::suite("w_state_n12"),
-//!         Scheme::Bisp,
-//!     ))
-//!     .axis([Scheme::Bisp, Scheme::Lockstep], |s, &scheme| s.scheme = scheme)
-//!     .axis([1u64, 2], |s, &seed| s.seed = seed)
-//!     .into_points();
+//! let base = Scenario::new(WorkloadSpec::suite("w_state_n12"), Scheme::Bisp);
+//! let grid = ScenarioFile {
+//!     axes: vec![
+//!         Axis::Scheme(vec![Scheme::Bisp, Scheme::Lockstep]),
+//!         Axis::Seed(vec![1, 2]),
+//!     ],
+//!     ..ScenarioFile::new("quick", base)
+//! };
+//! let scenarios = grid.expand(None);
 //!
 //! let report = run_sweep(&scenarios, 2).unwrap();
 //! assert_eq!(report.records().len(), 4);
@@ -66,7 +68,7 @@ use hisq_sim::{
 use hisq_workloads::WorkloadSpec;
 
 /// The measured outcome of one executed scenario (a flat metric bag
-/// keyed by the scenario's stable id — see [`run_scenario`] for the
+/// keyed by the scenario's stable id — see [`run_sweep`] for the
 /// metric names).
 pub type ScenarioReport = SweepRecord;
 
@@ -100,11 +102,9 @@ pub enum RunnerError {
         /// Scenario id, or `""` outside a scenario context.
         id: String,
     },
-    /// Building or running the simulator failed (the scenario id is
-    /// empty when the error came from the lower-level [`build_system`]
-    /// entry point).
+    /// Building or running the simulator failed.
     Sim {
-        /// Scenario id, or `""` outside a scenario context.
+        /// Scenario id.
         id: String,
         /// The simulator error.
         source: SimError,
@@ -130,13 +130,6 @@ pub enum RunnerError {
 }
 
 impl RunnerError {
-    fn sim(source: SimError) -> RunnerError {
-        RunnerError::Sim {
-            id: String::new(),
-            source,
-        }
-    }
-
     /// Re-attributes the error to scenario `id` (every variant): the
     /// compile stage produces errors without a scenario context —
     /// including *cached* errors replayed for a different scenario of
@@ -177,7 +170,6 @@ impl fmt::Display for RunnerError {
                 };
                 write!(f, "{prefix}lock-step systems carry a hub spec")
             }
-            RunnerError::Sim { id, source } if id.is_empty() => write!(f, "{source}"),
             RunnerError::Sim { id, source } => write!(f, "{id}: {source}"),
             RunnerError::Surgery { id, message } => {
                 write!(f, "{id}: invalid surgery: {message}")
@@ -195,12 +187,6 @@ impl Error for RunnerError {
             RunnerError::Sim { source, .. } => Some(source),
             _ => None,
         }
-    }
-}
-
-impl From<SimError> for RunnerError {
-    fn from(source: SimError) -> RunnerError {
-        RunnerError::sim(source)
     }
 }
 
@@ -258,22 +244,6 @@ pub fn system_spec(
     };
     apply_bindings(&mut spec, &compiled.bindings);
     Ok(spec)
-}
-
-/// Builds a ready-to-run [`System`] from a compiled program — the
-/// [`system_spec`] description, validated and built.
-///
-/// # Errors
-///
-/// Returns [`RunnerError`] if the description is incomplete (missing
-/// topology/hub) or node addresses collide (a compiler bug).
-pub fn build_system(
-    compiled: &CompiledSystem,
-    topology: Option<&Topology>,
-) -> Result<System, RunnerError> {
-    system_spec(compiled, topology)?
-        .build()
-        .map_err(RunnerError::sim)
 }
 
 /// Installs codeword bindings into a system description.
@@ -1222,7 +1192,7 @@ enum TopologySurgeryKey {
 
 /// The reusable output of a scenario's compile stage: the validated
 /// system description (backend and link model still unset — those are
-/// run-stage), plus the metric inputs [`run_scenario`] needs from the
+/// run-stage), plus the metric inputs a scenario's run needs from the
 /// built workload. Shared behind an [`Arc`] by every grid point of a
 /// sweep whose [`CompileKey`] matches.
 #[derive(Debug, Clone)]
@@ -1326,11 +1296,11 @@ impl CompileCache {
 
     /// Runs `scenario`, whose compile key is `key`, with its compile
     /// stage served from this cache — the per-point body of
-    /// [`run_sweep_cached`] and, over a fresh cache, of
-    /// [`run_scenario`]. Load scenarios run the multi-tenant job engine
-    /// instead: every job is an instance of the scenario (minus the
-    /// load block, which `key` ignores), compiled once through this
-    /// cache.
+    /// [`run_sweep_cached`] and, over a fresh cache per point, of
+    /// [`run_sweep_uncached`]. Load scenarios run the multi-tenant job
+    /// engine instead: every job is an instance of the scenario (minus
+    /// the load block, which `key` ignores), compiled once through
+    /// this cache.
     pub(crate) fn run(
         &self,
         scenario: &Scenario,
@@ -1348,47 +1318,22 @@ impl CompileCache {
 
 /// Runs `scenario`'s compile stage fresh (no cache): surgery fold,
 /// workload build, topology construction + surgery, compilation, and
-/// the system description — everything [`run_scenario`] does before
+/// the system description — everything a scenario's run does before
 /// seeding a backend. Exposed for the cache-equivalence suite; sweep
 /// callers get this transparently through [`run_sweep`].
 ///
 /// # Errors
 ///
-/// The compile-time subset of [`run_scenario`]'s errors (unknown
+/// The compile-time subset of [`run_sweep`]'s errors (unknown
 /// workload, invalid surgery, compile failure, incomplete description),
 /// attributed to the scenario's id.
 pub fn compile_scenario(scenario: &Scenario) -> Result<CompiledArtifact, RunnerError> {
     compile_stage(scenario).map_err(|e| e.with_id(&scenario.id()))
 }
 
-/// Executes one scenario end to end — build circuit, build topology,
-/// compile, simulate, score — and distills the paper's metrics.
-///
-/// The record carries: `makespan_cycles` / `makespan_ns` (end-to-end
-/// runtime), `instructions`, `syncs`, `stall_cycles` (synchronization
-/// overhead), `messages` (engine events processed), `infidelity` at the
-/// scenario's coherence time, and the `all_halted` flag. Under a
-/// contended link model the record additionally carries
-/// `link_messages`, `link_retransmits`, `link_dropped`, and
-/// `link_peak_occupancy`; under a non-default noise model it carries
-/// `noise_infidelity` (the analytic gate-error score) plus the
-/// `gates_1q`/`gates_2q`/`measurements` operation counts; a nonzero
-/// routing-warning count surfaces as `routing_warnings`
-/// (default-model records stay byte-identical to their historical
-/// form).
-///
-/// # Errors
-///
-/// Returns [`RunnerError`] if the workload name is unknown,
-/// compilation fails, node addresses collide, or the simulation faults
-/// — all reported with the scenario id for context.
-pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, RunnerError> {
-    CompileCache::new().run(scenario, &scenario.compile_key())
-}
-
 /// Builds the ready-to-run [`System`] a scenario describes — surgery,
 /// workload, topology, compilation, backend and link-model selection —
-/// without running it: [`run_scenario`] up to (but excluding) the
+/// without running it: a [`run_sweep`] point up to (but excluding) the
 /// `run()` call.
 ///
 /// Exposed so test harnesses can instrument the engine before the run —
@@ -1397,12 +1342,15 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, RunnerError> 
 ///
 /// # Errors
 ///
-/// As [`run_scenario`], minus simulation-time failures.
+/// As [`run_sweep`], minus simulation-time failures.
 pub fn scenario_system(scenario: &Scenario) -> Result<System, RunnerError> {
     let artifact = compile_scenario(scenario)?;
     build_from_artifact(scenario, &artifact)
         .map(|(system, _, _)| system)
-        .map_err(|e| RunnerError::sim(e).with_id(&scenario.id()))
+        .map_err(|source| RunnerError::Sim {
+            id: scenario.id(),
+            source,
+        })
 }
 
 /// The pure compile stage: everything a scenario's pipeline does
@@ -1534,7 +1482,7 @@ fn build_from_artifact(
 }
 
 /// Runs `scenario` from its compiled artifact and distils the
-/// scenario's metric record (see [`run_scenario`] for the metric
+/// scenario's metric record (see [`run_sweep`] for the metric
 /// names). The job engine calls this once per simulated job, all from
 /// the one artifact its load run resolved.
 pub(crate) fn run_from_artifact(
@@ -1611,6 +1559,22 @@ pub(crate) fn run_from_artifact(
 /// Runs a batch of scenarios on `threads` workers and aggregates their
 /// records (in scenario order) into a deterministic report.
 ///
+/// Each scenario runs end to end — build circuit, build topology,
+/// compile, simulate, score — and its record carries:
+/// `makespan_cycles` / `makespan_ns` (end-to-end runtime),
+/// `instructions`, `syncs`, `stall_cycles` (synchronization overhead),
+/// `messages` (engine events processed), `infidelity` at the
+/// scenario's coherence time, and the `all_halted` flag. Under a
+/// contended link model the record additionally carries
+/// `link_messages`, `link_retransmits`, `link_dropped`, and
+/// `link_peak_occupancy`; under a non-default noise model it carries
+/// `noise_infidelity` (the analytic gate-error score) plus the
+/// `gates_1q`/`gates_2q`/`measurements` operation counts; a nonzero
+/// routing-warning count surfaces as `routing_warnings`
+/// (default-model records stay byte-identical to their historical
+/// form). Load scenarios carry the job-engine metrics instead (see
+/// [`LoadOutcome::record`](crate::load::LoadOutcome::record)).
+///
 /// The output is byte-identical for any thread count: records land at
 /// their scenario's index and statistics fold in that order. See the
 /// module docs for an end-to-end example.
@@ -1624,7 +1588,9 @@ pub(crate) fn run_from_artifact(
 /// # Errors
 ///
 /// Returns the first failing scenario's [`RunnerError`], in *scenario*
-/// order (deterministic regardless of worker scheduling).
+/// order (deterministic regardless of worker scheduling): an unknown
+/// workload, a compile failure, colliding node addresses, or a
+/// simulation fault, each reported with the scenario id.
 pub fn run_sweep(scenarios: &[Scenario], threads: usize) -> Result<SweepReport, RunnerError> {
     run_sweep_cached(scenarios, threads, &CompileCache::new())
 }
@@ -1679,7 +1645,9 @@ pub fn run_sweep_uncached(
     scenarios: &[Scenario],
     threads: usize,
 ) -> Result<SweepReport, RunnerError> {
-    let results = SweepRunner::new(threads).map(scenarios, |_, scenario| run_scenario(scenario));
+    let results = SweepRunner::new(threads).map(scenarios, |_, scenario| {
+        CompileCache::new().run(scenario, &scenario.compile_key())
+    });
     let records = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     Ok(SweepReport::from_records(records))
 }

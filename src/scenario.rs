@@ -1,12 +1,13 @@
 //! Versioned scenario files: the product surface of the reproduction.
 //!
 //! A scenario file is a JSON document describing a whole experiment —
-//! a base [`Scenario`], sweep axes expanded into the cartesian grid
-//! (exactly what the in-process [`SweepGrid`](hisq_sim::SweepGrid)
-//! builders do), and a repetition count — that the `hisq run` binary
-//! executes through the deterministic sweep engine. Committed scenario
-//! files plus their committed reports form the golden replay corpus in
-//! `scenarios/`, compared byte-for-byte in CI.
+//! a base [`Scenario`], sweep axes expanded into the cartesian grid,
+//! and a repetition count — that the `hisq run` binary executes
+//! through the deterministic sweep engine. [`ScenarioFile::expand`] is
+//! the only grid expander: the `fig*` harnesses build their grids as
+//! [`ScenarioFile`] values too. Committed scenario files plus their
+//! committed reports form the golden replay corpus in `scenarios/`,
+//! compared byte-for-byte in CI.
 //!
 //! # Format
 //!
@@ -36,7 +37,9 @@
 //!   structural transform is a grid axis like any other.
 //! - `repetitions` (optional, default 1) runs every grid point `N`
 //!   times with consecutive seeds (`seed`, `seed+1`, …), golem-des
-//!   style; `hisq run --repetitions N` overrides it.
+//!   style; `hisq run --repetitions N` overrides it. A file whose grid
+//!   points × repetitions exceed [`MAX_SCENARIOS`] is rejected before
+//!   anything is expanded.
 
 use hisq_compiler::Scheme;
 use hisq_json::{Json, JsonError, ObjReader};
@@ -53,6 +56,12 @@ use crate::runner::{LinkOverride, NoiseOverride, Scenario, SurgeryOp};
 /// file with any other version fails with an error naming both
 /// versions.
 pub const SCHEMA_VERSION: u64 = 1;
+
+/// The most scenarios one file may expand to (grid points ×
+/// repetitions). Decoding rejects a larger file, so `hisq validate`
+/// and `hisq run` fail with an error instead of aborting on the
+/// allocation.
+pub const MAX_SCENARIOS: u64 = 1 << 20;
 
 /// One sweep axis of a scenario file: which base field varies, and the
 /// values it takes. Axes expand in file order into the cartesian
@@ -436,7 +445,17 @@ impl ScenarioFile {
                 axes.push(Axis::from_json(entry, &format!("{axes_path}[{i}]"))?);
             }
         }
+        let repetitions_path = obj.field_path("repetitions");
         obj.reject_unknown()?;
+        let total = axes
+            .iter()
+            .try_fold(repetitions, |n, axis| n.checked_mul(axis.len() as u64));
+        if total.is_none_or(|n| n > MAX_SCENARIOS) {
+            return Err(JsonError::decode(
+                repetitions_path,
+                format!("grid points x repetitions exceed the limit of {MAX_SCENARIOS} scenarios"),
+            ));
+        }
         Ok(ScenarioFile {
             name,
             description,
@@ -556,6 +575,63 @@ mod tests {
                 "w_state_n12/lockstep/seed2/t300",
             ]
         );
+    }
+
+    #[test]
+    fn empty_axis_annihilates_the_grid() {
+        // Decoding rejects an empty axis; one built in code empties the
+        // grid, and later axes do not resurrect points.
+        let mut file = quick_file();
+        file.axes.insert(0, Axis::Seed(Vec::new()));
+        assert_eq!(file.grid_len(), 0);
+        assert!(file.expand(None).is_empty());
+    }
+
+    #[test]
+    fn single_point_axis_keeps_the_count() {
+        let mut file = quick_file();
+        let before = file.expand(None);
+        file.axes.push(Axis::T1Us(vec![300.0]));
+        file.axes.insert(0, Axis::Shots(vec![1]));
+        assert_eq!(file.expand(None), before);
+    }
+
+    #[test]
+    fn oversized_grids_are_rejected_before_expansion() {
+        let base = r#""base": {"workload": {"suite": "w_state_n12"}, "scheme": "bisp"}"#;
+        let wide_axis = format!(
+            r#"{{"axis": "seed", "values": [{}]}}"#,
+            (0..1024)
+                .map(|i| i.to_string())
+                .collect::<Vec<_>>()
+                .join(",")
+        );
+        let at_limit = format!(
+            r#"{{"schema_version": 1, "name": "x", "repetitions": 1024, {base},
+                "axes": [{wide_axis}]}}"#
+        );
+        let file = ScenarioFile::parse(&at_limit).expect("exactly the limit is allowed");
+        assert_eq!(file.grid_len() as u64 * file.repetitions, MAX_SCENARIOS);
+        for text in [
+            format!(r#"{{"schema_version": 1, "name": "x", "repetitions": 4000000000, {base}}}"#),
+            format!(
+                r#"{{"schema_version": 1, "name": "x", "repetitions": 1025, {base},
+                    "axes": [{wide_axis}]}}"#
+            ),
+            // The axis product alone overflows u64.
+            format!(
+                r#"{{"schema_version": 1, "name": "x", {base},
+                    "axes": [{}]}}"#,
+                [wide_axis.as_str(); 7].join(",")
+            ),
+        ] {
+            let err = ScenarioFile::parse(&text).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains("scenario.repetitions: grid points x repetitions exceed"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -1,14 +1,14 @@
-//! Smoke tests for the documented [`RunnerError`] path of
-//! `runner::build_system`: a compiled system whose program map collides
-//! with an infrastructure address (router for BISP, broadcast hub for
-//! lock-step) must be rejected, not silently mis-wired — such a
-//! collision is always a compiler bug.
+//! Smoke tests for building a compiled system through
+//! `runner::system_spec` and `SystemSpec::build`: a program map that
+//! collides with an infrastructure address (router for BISP, broadcast
+//! hub for lock-step) must be rejected with [`SimError::DuplicateAddr`],
+//! not silently mis-wired — such a collision is always a compiler bug.
 
 use distributed_hisq::compiler::{
     compile_bisp, compile_lockstep, BispOptions, LockstepOptions, Scheme,
 };
 use distributed_hisq::quantum::Circuit;
-use distributed_hisq::runner::{build_system, RunnerError};
+use distributed_hisq::runner::system_spec;
 use distributed_hisq::sim::SimError;
 use hisq_net::TopologyBuilder;
 
@@ -35,14 +35,11 @@ fn bisp_rejects_program_at_router_address() {
     let stray = compiled.programs.values().next().unwrap().clone();
     compiled.programs.insert(router, stray);
 
-    let err = build_system(&compiled, Some(&topo)).unwrap_err();
-    assert_eq!(
-        err,
-        RunnerError::Sim {
-            id: String::new(),
-            source: SimError::DuplicateAddr(router)
-        }
-    );
+    let err = system_spec(&compiled, Some(&topo))
+        .unwrap()
+        .build()
+        .unwrap_err();
+    assert_eq!(err, SimError::DuplicateAddr(router));
 }
 
 #[test]
@@ -54,14 +51,8 @@ fn lockstep_rejects_program_at_hub_address() {
     let stray = compiled.programs.values().next().unwrap().clone();
     compiled.programs.insert(hub.addr, stray);
 
-    let err = build_system(&compiled, None).unwrap_err();
-    assert_eq!(
-        err,
-        RunnerError::Sim {
-            id: String::new(),
-            source: SimError::DuplicateAddr(hub.addr)
-        }
-    );
+    let err = system_spec(&compiled, None).unwrap().build().unwrap_err();
+    assert_eq!(err, SimError::DuplicateAddr(hub.addr));
 }
 
 #[test]
@@ -71,8 +62,8 @@ fn collision_free_systems_still_build() {
         .router_latency(10)
         .build();
     let bisp = compile_bisp(&circuit(), &topo, &BispOptions::default()).unwrap();
-    assert!(build_system(&bisp, Some(&topo)).is_ok());
+    assert!(system_spec(&bisp, Some(&topo)).unwrap().build().is_ok());
 
     let lockstep = compile_lockstep(&circuit(), &LockstepOptions::default()).unwrap();
-    assert!(build_system(&lockstep, None).is_ok());
+    assert!(system_spec(&lockstep, None).unwrap().build().is_ok());
 }

@@ -9,7 +9,7 @@ use distributed_hisq::compiler::{
     Scheme,
 };
 use distributed_hisq::quantum::{Circuit, Condition};
-use distributed_hisq::runner::build_system;
+use distributed_hisq::runner::system_spec;
 use distributed_hisq::sim::{StabilizerBackend, StateVectorBackend};
 use distributed_hisq::workloads::{fig15_suite, SuiteScale};
 use hisq_net::TopologyBuilder;
@@ -45,7 +45,10 @@ fn teleportation_through_bisp_stack() {
     assert_eq!(compiled.scheme, Scheme::Bisp);
 
     for seed in 0..10 {
-        let mut system = build_system(&compiled, Some(&topo)).unwrap();
+        let mut system = system_spec(&compiled, Some(&topo))
+            .unwrap()
+            .build()
+            .unwrap();
         system.set_backend(StabilizerBackend::new(3, seed));
         let report = system.run().unwrap();
         assert!(report.all_halted, "seed {seed}: {:?}", report.blocked);
@@ -66,7 +69,7 @@ fn teleportation_through_lockstep_stack() {
     assert_eq!(compiled.scheme, Scheme::Lockstep);
 
     for seed in 0..10 {
-        let mut system = build_system(&compiled, None).unwrap();
+        let mut system = system_spec(&compiled, None).unwrap().build().unwrap();
         system.set_backend(StabilizerBackend::new(3, 100 + seed));
         let report = system.run().unwrap();
         assert!(report.all_halted, "seed {seed}: {:?}", report.blocked);
@@ -89,7 +92,10 @@ fn long_range_cnot_gadget_full_stack() {
     let compiled = compile_bisp(&physical.circuit, &topo, &BispOptions::default()).unwrap();
 
     for seed in [1, 7, 42] {
-        let mut system = build_system(&compiled, Some(&topo)).unwrap();
+        let mut system = system_spec(&compiled, Some(&topo))
+            .unwrap()
+            .build()
+            .unwrap();
         system.set_backend(StateVectorBackend::new(n, seed));
         let report = system.run().unwrap();
         assert!(report.all_halted, "{:?}", report.blocked);
@@ -111,7 +117,10 @@ fn two_qubit_triggers_commit_simultaneously() {
     circuit.cz(0, 1);
     let topo = linear(2);
     let compiled = compile_bisp(&circuit, &topo, &BispOptions::default()).unwrap();
-    let mut system = build_system(&compiled, Some(&topo)).unwrap();
+    let mut system = system_spec(&compiled, Some(&topo))
+        .unwrap()
+        .build()
+        .unwrap();
     let report = system.run().unwrap();
     assert!(report.all_halted);
     let telf = system.telf();
@@ -138,7 +147,10 @@ fn booking_advance_never_slower() {
         )
         .unwrap();
         let run = |compiled| {
-            let mut system = build_system(&compiled, Some(&topo)).unwrap();
+            let mut system = system_spec(&compiled, Some(&topo))
+                .unwrap()
+                .build()
+                .unwrap();
             system.set_backend(distributed_hisq::sim::RandomBackend::new(3, 0.5));
             let report = system.run().unwrap();
             assert!(report.all_halted, "{}: {:?}", bench.name, report.blocked);
@@ -162,12 +174,12 @@ fn quick_suite_runs_on_both_schemes() {
         let bisp = compile_bisp(&bench.physical, &topo, &BispOptions::default()).unwrap();
         let lockstep = compile_lockstep(&bench.physical, &LockstepOptions::default()).unwrap();
 
-        let mut sys_b = build_system(&bisp, Some(&topo)).unwrap();
+        let mut sys_b = system_spec(&bisp, Some(&topo)).unwrap().build().unwrap();
         sys_b.set_backend(distributed_hisq::sim::RandomBackend::new(1, 0.5));
         let rep_b = sys_b.run().unwrap();
         assert!(rep_b.all_halted, "{} bisp: {:?}", bench.name, rep_b.blocked);
 
-        let mut sys_l = build_system(&lockstep, None).unwrap();
+        let mut sys_l = system_spec(&lockstep, None).unwrap().build().unwrap();
         sys_l.set_backend(distributed_hisq::sim::RandomBackend::new(1, 0.5));
         let rep_l = sys_l.run().unwrap();
         assert!(

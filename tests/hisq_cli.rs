@@ -2,7 +2,8 @@
 //! the real executable (`CARGO_BIN_EXE_hisq`): unknown flags and flag
 //! conflicts must exit 2 with a usage message — never run a sweep with
 //! a silently ignored option — and `--quick` must execute the reduced
-//! grid successfully.
+//! grid successfully. A grid past the scenario limit exits 1 before
+//! anything is expanded.
 
 use std::process::Command;
 
@@ -56,4 +57,39 @@ fn quick_run_executes_the_reduced_grid() {
     // The quick pass of the 2×2 corpus grid is the grid itself (it is
     // already single-shot, single-repetition).
     assert!(stdout.starts_with("{\"scenarios\":4,"), "{stdout}");
+}
+
+/// A grid too large to expand is a typed error (exit 1), not an abort
+/// on a terabyte allocation.
+#[test]
+fn validate_rejects_a_grid_past_the_scenario_limit() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("huge_repetitions.json");
+    std::fs::write(
+        &path,
+        r#"{"schema_version": 1, "name": "huge", "repetitions": 4000000000,
+            "base": {"workload": {"suite": "w_state_n12"}, "scheme": "bisp"}}"#,
+    )
+    .expect("temp file is writable");
+    let out = hisq(&["validate", path.to_str().expect("utf-8 path")]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("scenario.repetitions: grid points x repetitions exceed"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty());
+}
+
+#[test]
+fn run_rejects_repetitions_past_the_scenario_limit() {
+    for reps in ["4000000000", "18446744073709551615"] {
+        let out = hisq(&["run", SCENARIO, "--repetitions", reps]);
+        assert_eq!(out.status.code(), Some(1), "--repetitions {reps}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("grid points x repetitions exceed"),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "no sweep runs");
+    }
 }

@@ -9,8 +9,8 @@ use proptest::prelude::*;
 
 use distributed_hisq::compiler::Scheme;
 use distributed_hisq::quantum::NoiseModel;
-use distributed_hisq::runner::{run_sweep, Scenario, SystemParams};
-use distributed_hisq::sim::SweepGrid;
+use distributed_hisq::runner::{run_sweep, Scenario};
+use distributed_hisq::scenario::{Axis, ScenarioFile};
 use distributed_hisq::workloads::WorkloadSpec;
 
 /// A small noisy grid: one long-range CNOT gadget under both schemes
@@ -21,21 +21,24 @@ fn noisy_grid(seed: u64) -> Vec<Scenario> {
         parallel: 1,
         span: 3,
     };
-    SweepGrid::new(Scenario::new(workload, Scheme::Bisp).with_seed(seed))
-        .axis([1e-4, 1e-2], |s, &p| {
-            s.params = SystemParams {
-                noise: NoiseModel::default()
-                    .with_gate_errors(p, 10.0 * p)
-                    .with_meas_error(10.0 * p)
-                    .with_idle_error(1e-6)
-                    .with_leak(p),
-                ..SystemParams::default()
-            }
-        })
-        .axis([Scheme::Bisp, Scheme::Lockstep], |s, &scheme| {
-            s.scheme = scheme
-        })
-        .into_points()
+    let noise = [1e-4, 1e-2].map(|p| {
+        NoiseModel::default()
+            .with_gate_errors(p, 10.0 * p)
+            .with_meas_error(10.0 * p)
+            .with_idle_error(1e-6)
+            .with_leak(p)
+    });
+    ScenarioFile {
+        axes: vec![
+            Axis::Noise(noise.to_vec()),
+            Axis::Scheme(vec![Scheme::Bisp, Scheme::Lockstep]),
+        ],
+        ..ScenarioFile::new(
+            "noisy",
+            Scenario::new(workload, Scheme::Bisp).with_seed(seed),
+        )
+    }
+    .expand(None)
 }
 
 proptest! {

@@ -8,22 +8,29 @@
 
 use distributed_hisq::compiler::Scheme;
 use distributed_hisq::runner::{run_sweep, Scenario};
-use distributed_hisq::sim::SweepGrid;
+use distributed_hisq::scenario::{Axis, ScenarioFile};
 use distributed_hisq::testing::assert_pinned;
 use distributed_hisq::workloads::{SuiteScale, WorkloadSpec};
 
 /// The full quick suite under both schemes at three seeds:
 /// 6 × 2 × 3 = 36 scenarios (the acceptance floor is 32).
 fn scenario_grid() -> Vec<Scenario> {
-    SweepGrid::new(Scenario::new(WorkloadSpec::suite(""), Scheme::Bisp))
-        .axis(WorkloadSpec::suite_specs(SuiteScale::Quick), |s, w| {
-            s.workload = w.clone()
-        })
-        .axis([Scheme::Bisp, Scheme::Lockstep], |s, &scheme| {
-            s.scheme = scheme
-        })
-        .axis([1u64, 7, 15], |s, &seed| s.seed = seed)
-        .into_points()
+    let mut file = quick_suite_file(0);
+    file.axes.push(Axis::Seed(vec![1, 7, 15]));
+    file.expand(None)
+}
+
+/// The quick suite under both schemes (scheme fastest) at `seed`.
+fn quick_suite_file(seed: u64) -> ScenarioFile {
+    let workloads = WorkloadSpec::suite_specs(SuiteScale::Quick);
+    let base = Scenario::new(workloads[0].clone(), Scheme::Bisp).with_seed(seed);
+    ScenarioFile {
+        axes: vec![
+            Axis::Workload(workloads),
+            Axis::Scheme(vec![Scheme::Bisp, Scheme::Lockstep]),
+        ],
+        ..ScenarioFile::new("quick-suite", base)
+    }
 }
 
 #[test]
@@ -75,15 +82,7 @@ fn scenario_ids_are_unique_and_stable() {
 /// schemes at seed 15) exercises mesh, tree, and star sends end to end.
 #[test]
 fn default_link_model_reproduces_pr3_fig15_json_byte_for_byte() {
-    let scenarios =
-        SweepGrid::new(Scenario::new(WorkloadSpec::suite(""), Scheme::Bisp).with_seed(15))
-            .axis(WorkloadSpec::suite_specs(SuiteScale::Quick), |s, w| {
-                s.workload = w.clone()
-            })
-            .axis([Scheme::Bisp, Scheme::Lockstep], |s, &scheme| {
-                s.scheme = scheme
-            })
-            .into_points();
+    let scenarios = quick_suite_file(15).expand(None);
     let json = run_sweep(&scenarios, 2).expect("grid runs").to_json();
     assert_pinned("fig15 quick JSON", &json, 3303, 0x4949_f6c3_c624_03d5);
 }
