@@ -19,11 +19,13 @@
 use std::collections::BTreeMap;
 
 use hisq_core::NodeAddr;
+use hisq_isa::disasm::disassemble;
+use hisq_isa::{AluOp, BranchOp, Reg};
 use hisq_net::Topology;
 use hisq_quantum::{Circuit, Operation};
 
 use crate::codewords::{CodewordTable, PORT_GATE, PORT_READOUT};
-use crate::emit::StreamBuilder;
+use crate::emit::{Label, StreamBuilder};
 use crate::{CompileError, CompileStats, CompiledSystem, CycleDurations, Scheme};
 
 /// Address of the local measurement FIFO (`hisq_core::MEAS_FIFO_ADDR`).
@@ -105,8 +107,7 @@ fn wire(circuit: &Circuit) -> Result<Wiring, CompileError> {
 ///
 /// Returns [`CompileError`] when the circuit does not fit the topology,
 /// a two-qubit gate spans non-adjacent controllers, a condition guards a
-/// multi-qubit operation, or generated assembly fails to assemble (a
-/// code-generation bug).
+/// multi-qubit operation, or the topology has no root router.
 pub fn compile_bisp(
     circuit: &Circuit,
     topology: &Topology,
@@ -151,9 +152,9 @@ pub fn compile_bisp(
     let mut programs = BTreeMap::new();
     let mut sources = BTreeMap::new();
     for (addr, builder) in builders {
-        let (source, program) = builder.finish().map_err(CompileError::Asm)?;
+        let program = builder.finish();
         stats.instructions += program.len() as u64;
-        sources.insert(addr, source);
+        sources.insert(addr, disassemble(program.insts()));
         programs.insert(addr, program);
     }
 
@@ -242,25 +243,10 @@ fn emit_body(
                 };
                 let cw = table.gate(addr, *gate, qubits);
                 let builder = builders.get_mut(&addr).expect("controller exists");
-                for (i, producer) in producers.iter().enumerate() {
-                    builder.recv("t2", *producer);
-                    if i == 0 {
-                        builder.raw("mv t1, t2");
-                    } else {
-                        builder.raw("xor t1, t1, t2");
-                    }
-                    stats.recvs += 1;
-                }
-                let skip = builder.fresh_label("skip");
-                // Skip the body when the parity does not match `value`.
-                if value {
-                    builder.raw(format!("beqz t1, {skip}"));
-                } else {
-                    builder.raw(format!("bnez t1, {skip}"));
-                }
+                let skip = receive_parity(builder, &producers, value, stats);
                 builder.cw(PORT_GATE, cw);
                 builder.wait(d.gate_cycles(*gate));
-                builder.label(&skip);
+                builder.label(skip);
                 builder.mark_blocker();
                 stats.feedbacks += 1;
             }
@@ -270,11 +256,11 @@ fn emit_body(
                 let builder = builders.get_mut(&addr).expect("controller exists");
                 builder.cw(PORT_READOUT, cw);
                 builder.wait(d.measurement);
-                builder.recv("t0", MEAS_FIFO);
+                builder.recv(Reg::T0, MEAS_FIFO);
                 builder.mark_blocker();
                 if let Some(consumers) = wiring.consumers.get(&idx) {
                     for &consumer in consumers {
-                        builder.send(consumer, "t0");
+                        builder.send(consumer, Reg::T0);
                         stats.sends += 1;
                     }
                 }
@@ -307,23 +293,9 @@ fn emit_body(
                     hisq_quantum::Condition::Parity { value, .. } => *value,
                 };
                 let builder = builders.get_mut(&addr).expect("controller exists");
-                for (i, producer) in producers.iter().enumerate() {
-                    builder.recv("t2", *producer);
-                    if i == 0 {
-                        builder.raw("mv t1, t2");
-                    } else {
-                        builder.raw("xor t1, t1, t2");
-                    }
-                    stats.recvs += 1;
-                }
-                let skip = builder.fresh_label("skip");
-                if value {
-                    builder.raw(format!("beqz t1, {skip}"));
-                } else {
-                    builder.raw(format!("bnez t1, {skip}"));
-                }
+                let skip = receive_parity(builder, &producers, value, stats);
                 builder.wait(duration_ns.div_ceil(hisq_isa::CYCLE_NS));
-                builder.label(&skip);
+                builder.label(skip);
                 builder.mark_blocker();
                 stats.feedbacks += 1;
             }
@@ -335,11 +307,60 @@ fn emit_body(
     Ok(())
 }
 
+/// Receives every producer's bit into `t2`, folds their parity into
+/// `t1`, and branches past the conditioned body unless the parity
+/// equals `value`. Returns the label the caller places after the body.
+fn receive_parity(
+    builder: &mut StreamBuilder,
+    producers: &[NodeAddr],
+    value: bool,
+    stats: &mut CompileStats,
+) -> Label {
+    for (i, &producer) in producers.iter().enumerate() {
+        builder.recv(Reg::T2, producer);
+        if i == 0 {
+            builder.op_imm(AluOp::Add, Reg::T1, Reg::T2, 0); // mv t1, t2
+        } else {
+            builder.op(AluOp::Xor, Reg::T1, Reg::T1, Reg::T2);
+        }
+        stats.recvs += 1;
+    }
+    let skip = builder.fresh_label();
+    // Skip the body when the parity does not match `value`.
+    let op = if value { BranchOp::Eq } else { BranchOp::Ne };
+    builder.branch_zero(op, Reg::T1, skip);
+    skip
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hisq_isa::Inst;
     use hisq_net::TopologyBuilder;
     use hisq_quantum::Condition;
+
+    fn insts(compiled: &CompiledSystem, addr: NodeAddr) -> &[Inst] {
+        compiled.programs[&addr].insts()
+    }
+
+    fn position(insts: &[Inst], wanted: Inst) -> usize {
+        insts
+            .iter()
+            .position(|i| *i == wanted)
+            .unwrap_or_else(|| panic!("{wanted} missing from {insts:?}"))
+    }
+
+    fn sync(target: NodeAddr) -> Inst {
+        Inst::Sync {
+            target,
+            horizon: Reg::X0,
+        }
+    }
+
+    /// `true` for `beqz t1, _` (`op` = Eq) or `bnez t1, _` (`op` = Ne).
+    fn branches_on_t1(inst: &Inst, want: BranchOp) -> bool {
+        matches!(inst, Inst::Branch { op, rs1: Reg::T1, rs2: Reg::X0, .. } if *op == want)
+    }
 
     fn linear_topology(n: usize) -> Topology {
         TopologyBuilder::linear(n)
@@ -373,20 +394,24 @@ mod tests {
         circuit.cz(0, 1);
         let compiled = compile_bisp(&circuit, &topo, &BispOptions::default()).unwrap();
         assert_eq!(compiled.stats.nearby_syncs, 2);
-        let src0 = &compiled.sources[&0];
-        let src1 = &compiled.sources[&1];
-        assert!(src0.contains("sync 1"), "{src0}");
-        assert!(src1.contains("sync 0"), "{src1}");
+        let insts0 = insts(&compiled, 0);
+        position(insts(&compiled, 1), sync(0));
         // The H's 5-cycle duration on controller 0 is deterministic work
         // the booking overlaps: the sync is hoisted above that wait,
         // before the CZ trigger.
-        let sync_pos = src0.find("sync 1").unwrap();
-        let cz_pos = src0.rfind("cw.i.i").unwrap();
-        assert!(sync_pos < cz_pos, "sync precedes the CZ trigger:\n{src0}");
-        let wait_pos = src0.find("waiti 5").unwrap();
+        let sync_pos = position(insts0, sync(1));
+        let cz_pos = insts0
+            .iter()
+            .rposition(|i| matches!(i, Inst::Cw { .. }))
+            .unwrap();
+        assert!(
+            sync_pos < cz_pos,
+            "sync precedes the CZ trigger: {insts0:?}"
+        );
+        let wait_pos = position(insts0, Inst::WaitI { cycles: 5 });
         assert!(
             sync_pos < wait_pos,
-            "booking advance overlaps the H duration:\n{src0}"
+            "booking advance overlaps the H duration: {insts0:?}"
         );
     }
 
@@ -401,12 +426,15 @@ mod tests {
             ..BispOptions::default()
         };
         let compiled = compile_bisp(&circuit, &topo, &options).unwrap();
-        let src0 = &compiled.sources[&0];
-        let sync_pos = src0.find("sync 1").unwrap();
-        let h_pos = src0.find("cw.i.i").unwrap();
+        let insts0 = insts(&compiled, 0);
+        let sync_pos = position(insts0, sync(1));
+        let h_pos = insts0
+            .iter()
+            .position(|i| matches!(i, Inst::Cw { .. }))
+            .unwrap();
         assert!(
             h_pos < sync_pos,
-            "sync placed immediately before the point:\n{src0}"
+            "sync placed immediately before the point: {insts0:?}"
         );
     }
 
@@ -420,10 +448,31 @@ mod tests {
         assert_eq!(compiled.stats.sends, 1);
         assert_eq!(compiled.stats.recvs, 1);
         assert_eq!(compiled.stats.feedbacks, 1);
-        assert!(compiled.sources[&0].contains("recv t0, 4095"));
-        assert!(compiled.sources[&0].contains("send 1, t0"));
-        assert!(compiled.sources[&1].contains("recv t2, 0"));
-        assert!(compiled.sources[&1].contains("beqz t1"));
+        let insts0 = insts(&compiled, 0);
+        let recv_pos = position(
+            insts0,
+            Inst::Recv {
+                rd: Reg::T0,
+                source: MEAS_FIFO,
+            },
+        );
+        let send_pos = position(
+            insts0,
+            Inst::Send {
+                target: 1,
+                rs1: Reg::T0,
+            },
+        );
+        assert!(recv_pos < send_pos, "{insts0:?}");
+        let insts1 = insts(&compiled, 1);
+        position(
+            insts1,
+            Inst::Recv {
+                rd: Reg::T2,
+                source: 0,
+            },
+        );
+        assert!(insts1.iter().any(|i| branches_on_t1(i, BranchOp::Eq)));
     }
 
     #[test]
@@ -434,11 +483,29 @@ mod tests {
         circuit.measure(1, 1);
         circuit.x_if(2, Condition::parity(vec![0, 1], false));
         let compiled = compile_bisp(&circuit, &topo, &BispOptions::default()).unwrap();
-        let src2 = &compiled.sources[&2];
-        assert!(src2.contains("recv t2, 0"));
-        assert!(src2.contains("recv t2, 1"));
-        assert!(src2.contains("xor t1, t1, t2"));
-        assert!(src2.contains("bnez t1"), "value=false skips on parity 1");
+        let insts2 = insts(&compiled, 2);
+        for source in [0, 1] {
+            position(
+                insts2,
+                Inst::Recv {
+                    rd: Reg::T2,
+                    source,
+                },
+            );
+        }
+        position(
+            insts2,
+            Inst::Op {
+                op: AluOp::Xor,
+                rd: Reg::T1,
+                rs1: Reg::T1,
+                rs2: Reg::T2,
+            },
+        );
+        assert!(
+            insts2.iter().any(|i| branches_on_t1(i, BranchOp::Ne)),
+            "value=false skips on parity 1"
+        );
     }
 
     #[test]
@@ -464,8 +531,11 @@ mod tests {
         };
         let compiled = compile_bisp(&circuit, &topo, &options).unwrap();
         let root = topo.root_router().unwrap();
-        let src = &compiled.sources[&0];
-        assert_eq!(src.matches(&format!("sync {root}")).count(), 3);
+        let region_syncs = insts(&compiled, 0)
+            .iter()
+            .filter(|&&i| i == sync(root))
+            .count();
+        assert_eq!(region_syncs, 3);
         assert_eq!(compiled.stats.region_syncs, 6); // 2 controllers × 3
     }
 
@@ -480,6 +550,10 @@ mod tests {
         let compiled = compile_bisp(&circuit, &topo, &BispOptions::default()).unwrap();
         for (addr, program) in &compiled.programs {
             assert!(!program.is_empty(), "controller {addr} has a program");
+            let listing = hisq_isa::Assembler::new()
+                .assemble(&compiled.sources[addr])
+                .unwrap();
+            assert_eq!(listing.insts(), program.insts(), "controller {addr}");
         }
         assert!(compiled.stats.instructions > 0);
     }

@@ -21,6 +21,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use hisq_core::NodeAddr;
+use hisq_isa::disasm::disassemble;
+use hisq_isa::{AluOp, BranchOp, Reg};
 use hisq_quantum::{Circuit, Condition, Gate, Instruction, Operation};
 
 use crate::codewords::{CodewordTable, PORT_GATE, PORT_READOUT};
@@ -104,8 +106,8 @@ impl Item {
 ///
 /// # Errors
 ///
-/// Returns [`CompileError`] for conditions on multi-qubit operations,
-/// conditions referencing unwritten clbits, or assembler failures.
+/// Returns [`CompileError`] for conditions on multi-qubit operations or
+/// conditions referencing unwritten clbits.
 pub fn compile_lockstep(
     circuit: &Circuit,
     options: &LockstepOptions,
@@ -354,21 +356,21 @@ pub fn compile_lockstep(
                     cursor = cursor.max(time) + d.measurement;
                     builder.cw(PORT_READOUT, cw);
                     builder.wait(d.measurement);
-                    builder.recv("t0", 0xFFF);
-                    builder.raw(format!("li t5, {}", (meas_index as u32) << 1));
-                    builder.raw("add t5, t5, t0");
-                    builder.send(hub_addr, "t5");
+                    builder.recv(Reg::T0, 0xFFF);
+                    builder.li(Reg::T5, ((meas_index as u32) << 1) as i32);
+                    builder.op(AluOp::Add, Reg::T5, Reg::T5, Reg::T0);
+                    builder.send(hub_addr, Reg::T5);
                     builder.mark_blocker();
                 }
                 Item::Broadcast { .. } => {
                     // Pipeline-only work: receive, decode the tag, store
                     // the bit into its ring slot.
-                    builder.recv("t2", hub_addr);
-                    builder.raw("andi t4, t2, 1");
-                    builder.raw("srli t3, t2, 1");
-                    builder.raw(format!("andi t3, t3, {}", RING_SLOTS - 1));
-                    builder.raw("slli t3, t3, 2");
-                    builder.raw("sw t4, 0(t3)");
+                    builder.recv(Reg::T2, hub_addr);
+                    builder.op_imm(AluOp::And, Reg::T4, Reg::T2, 1);
+                    builder.op_imm(AluOp::Srl, Reg::T3, Reg::T2, 1);
+                    builder.op_imm(AluOp::And, Reg::T3, Reg::T3, RING_SLOTS as i32 - 1);
+                    builder.op_imm(AluOp::Sll, Reg::T3, Reg::T3, 2);
+                    builder.sw(Reg::T4, Reg::T3, 0);
                     builder.mark_blocker();
                 }
                 Item::Window {
@@ -382,21 +384,18 @@ pub fn compile_lockstep(
                     cursor = w1;
                     for (i, meas_index) in bits.iter().enumerate() {
                         let slot = ((*meas_index as u32) % RING_SLOTS) * 4;
-                        builder.raw(format!("li t3, {slot}"));
-                        builder.raw("lw t2, 0(t3)");
+                        builder.li(Reg::T3, slot as i32);
+                        builder.lw(Reg::T2, Reg::T3, 0);
                         if i == 0 {
-                            builder.raw("mv t1, t2");
+                            builder.op_imm(AluOp::Add, Reg::T1, Reg::T2, 0); // mv t1, t2
                         } else {
-                            builder.raw("xor t1, t1, t2");
+                            builder.op(AluOp::Xor, Reg::T1, Reg::T1, Reg::T2);
                         }
                     }
-                    let skip = builder.fresh_label("skip");
-                    let end = builder.fresh_label("end");
-                    if value {
-                        builder.raw(format!("beqz t1, {skip}"));
-                    } else {
-                        builder.raw(format!("bnez t1, {skip}"));
-                    }
+                    let skip = builder.fresh_label();
+                    let end = builder.fresh_label();
+                    let op = if value { BranchOp::Eq } else { BranchOp::Ne };
+                    builder.branch_zero(op, Reg::T1, skip);
                     let mut local = w0;
                     for (start, port, cw, dur) in body {
                         builder.wait(start.saturating_sub(local));
@@ -405,18 +404,18 @@ pub fn compile_lockstep(
                         local = start + dur;
                     }
                     builder.wait(w1.saturating_sub(local));
-                    builder.raw(format!("j {end}"));
-                    builder.label(&skip);
+                    builder.jump(end);
+                    builder.label(skip);
                     // The untaken path idles for the same window.
                     builder.wait(w1 - w0);
-                    builder.label(&end);
+                    builder.label(end);
                     builder.mark_blocker();
                 }
             }
         }
-        let (source, program) = builder.finish().map_err(CompileError::Asm)?;
+        let program = builder.finish();
         stats.instructions += program.len() as u64;
-        sources.insert(addr, source);
+        sources.insert(addr, disassemble(program.insts()));
         programs.insert(addr, program);
     }
 
@@ -451,6 +450,30 @@ impl CycleDurations {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hisq_isa::{Inst, LoadOp};
+
+    fn insts(compiled: &CompiledSystem, addr: NodeAddr) -> &[Inst] {
+        compiled.programs[&addr].insts()
+    }
+
+    fn is_beqz_t1(inst: &Inst) -> bool {
+        matches!(
+            inst,
+            Inst::Branch {
+                op: BranchOp::Eq,
+                rs1: Reg::T1,
+                rs2: Reg::X0,
+                ..
+            }
+        )
+    }
+
+    fn beqz_t1_count(compiled: &CompiledSystem, addr: NodeAddr) -> usize {
+        insts(compiled, addr)
+            .iter()
+            .filter(|i| is_beqz_t1(i))
+            .count()
+    }
 
     #[test]
     fn deterministic_circuit_needs_no_syncs() {
@@ -459,8 +482,11 @@ mod tests {
         let compiled = compile_lockstep(&circuit, &LockstepOptions::default()).unwrap();
         assert_eq!(compiled.stats.nearby_syncs, 0);
         assert_eq!(compiled.stats.region_syncs, 0);
-        for source in compiled.sources.values() {
-            assert!(!source.contains("sync"));
+        for program in compiled.programs.values() {
+            assert!(!program
+                .insts()
+                .iter()
+                .any(|i| matches!(i, Inst::Sync { .. })));
         }
         assert!(compiled.hub.is_some());
     }
@@ -473,16 +499,17 @@ mod tests {
         let compiled = compile_lockstep(&circuit, &LockstepOptions::default()).unwrap();
         // Only controller 2 consumes the bit.
         assert_eq!(compiled.stats.recvs, 1);
-        assert!(
-            compiled.sources[&2].contains("recv t2, 3"),
-            "consumer latches"
-        );
-        assert!(
-            !compiled.sources[&1].contains("recv t2, 3"),
-            "bystander skips"
-        );
+        let latch = Inst::Recv {
+            rd: Reg::T2,
+            source: 3,
+        };
+        assert!(insts(&compiled, 2).contains(&latch), "consumer latches");
+        assert!(!insts(&compiled, 1).contains(&latch), "bystander skips");
         // The producer publishes an index-tagged value through the hub.
-        assert!(compiled.sources[&0].contains("send 3, t5"));
+        assert!(insts(&compiled, 0).contains(&Inst::Send {
+            target: 3,
+            rs1: Reg::T5
+        }));
     }
 
     #[test]
@@ -491,11 +518,29 @@ mod tests {
         circuit.measure(0, 0);
         circuit.x_if(1, Condition::bit(0, true));
         let compiled = compile_lockstep(&circuit, &LockstepOptions::default()).unwrap();
-        let src1 = &compiled.sources[&1];
-        assert!(src1.contains("lw t2, 0(t3)"));
-        assert!(src1.contains("beqz t1"));
-        // Both paths exist: a body and the idle arm.
-        assert!(src1.contains("j .end_1_"), "{src1}");
+        let insts1 = insts(&compiled, 1);
+        assert!(insts1.contains(&Inst::Load {
+            op: LoadOp::Word,
+            rd: Reg::T2,
+            rs1: Reg::T3,
+            offset: 0
+        }));
+        // Both paths exist: the branch skips the body to the idle arm,
+        // which starts right after the body's closing jump; the jump
+        // skips the idle arm forward.
+        let branch = insts1.iter().position(is_beqz_t1).unwrap();
+        let Inst::Branch { offset, .. } = insts1[branch] else {
+            unreachable!()
+        };
+        let jump = insts1
+            .iter()
+            .position(|i| matches!(i, Inst::Jal { rd: Reg::X0, .. }))
+            .unwrap_or_else(|| panic!("no closing jump: {insts1:?}"));
+        assert_eq!(branch as i32 + offset / 4, jump as i32 + 1, "{insts1:?}");
+        let Inst::Jal { offset, .. } = insts1[jump] else {
+            unreachable!()
+        };
+        assert!(offset > 4, "the jump skips the idle arm: {insts1:?}");
     }
 
     #[test]
@@ -506,8 +551,8 @@ mod tests {
         circuit.z_if(2, Condition::bit(0, true));
         let compiled = compile_lockstep(&circuit, &LockstepOptions::default()).unwrap();
         // One window spans both ops: each participant branches once.
-        assert_eq!(compiled.sources[&1].matches("beqz t1").count(), 1);
-        assert_eq!(compiled.sources[&2].matches("beqz t1").count(), 1);
+        assert_eq!(beqz_t1_count(&compiled, 1), 1);
+        assert_eq!(beqz_t1_count(&compiled, 2), 1);
     }
 
     #[test]
@@ -518,7 +563,7 @@ mod tests {
         circuit.x_if(2, Condition::bit(0, true));
         circuit.x_if(2, Condition::bit(1, true));
         let compiled = compile_lockstep(&circuit, &LockstepOptions::default()).unwrap();
-        assert_eq!(compiled.sources[&2].matches("beqz t1").count(), 2);
+        assert_eq!(beqz_t1_count(&compiled, 2), 2);
         assert_eq!(compiled.stats.feedbacks, 2);
     }
 
@@ -538,6 +583,12 @@ mod tests {
         assert_eq!(hub.addr, 2);
         assert_eq!(hub.up_latency, 30);
         assert_eq!(hub.down_latency, 40);
-        assert!(compiled.programs.values().all(|p| !p.is_empty()));
+        for (addr, program) in &compiled.programs {
+            assert!(!program.is_empty(), "controller {addr} has a program");
+            let listing = hisq_isa::Assembler::new()
+                .assemble(&compiled.sources[addr])
+                .unwrap();
+            assert_eq!(listing.insts(), program.insts(), "controller {addr}");
+        }
     }
 }

@@ -17,6 +17,14 @@
 //! circuits onto the interleaved data/ancilla layout, substituting
 //! long-range CNOTs with the constant-depth dynamic gadget of Figure 14.
 //!
+//! Both backends emit typed [`hisq_isa::Inst`]s through a per-controller
+//! [`StreamBuilder`], whose `finish` resolves branch labels and returns
+//! the [`Program`] directly: no assembly text is formatted or parsed on
+//! the way. [`CompiledSystem::sources`] is the disassembler's listing of
+//! those programs (`x`-register names, numeric branch offsets); it
+//! re-assembles to the same instructions, which the test suite checks
+//! with the assembler as the oracle.
+//!
 //! # Example
 //!
 //! ```
@@ -50,7 +58,7 @@ use std::error::Error;
 use std::fmt;
 
 use hisq_core::NodeAddr;
-use hisq_isa::{AsmError, Program, CYCLE_NS};
+use hisq_isa::{Program, CYCLE_NS};
 use hisq_quantum::GateDurations;
 
 pub use codegen_bisp::{compile_bisp, BispOptions};
@@ -142,9 +150,10 @@ pub struct CompileStats {
 pub struct CompiledSystem {
     /// The scheme this system was compiled for.
     pub scheme: Scheme,
-    /// Assembled programs per controller.
+    /// Generated programs per controller.
     pub programs: BTreeMap<NodeAddr, Program>,
-    /// Generated assembly text per controller (human-readable artifact).
+    /// The disassembler's listing of `programs`, per controller
+    /// (human-readable; re-assembles to the same instructions).
     pub sources: BTreeMap<NodeAddr, String>,
     /// Codeword → quantum action bindings.
     pub bindings: Vec<Binding>,
@@ -235,8 +244,6 @@ pub enum CompileError {
     },
     /// The topology has no router to coordinate region synchronization.
     NoRootRouter,
-    /// Generated assembly failed to assemble (a code-generation bug).
-    Asm(AsmError),
 }
 
 impl fmt::Display for CompileError {
@@ -265,25 +272,11 @@ impl fmt::Display for CompileError {
             CompileError::NoRootRouter => {
                 write!(f, "topology has no router for region synchronization")
             }
-            CompileError::Asm(e) => write!(f, "generated assembly failed to assemble: {e}"),
         }
     }
 }
 
-impl Error for CompileError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            CompileError::Asm(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<AsmError> for CompileError {
-    fn from(e: AsmError) -> CompileError {
-        CompileError::Asm(e)
-    }
-}
+impl Error for CompileError {}
 
 #[cfg(test)]
 mod tests {

@@ -242,6 +242,36 @@ fn fits_i12(imm: i64) -> bool {
     (-2048..=2047).contains(&imm)
 }
 
+/// Expands the `li rd, imm` pseudo-instruction: a single `addi rd, x0,
+/// imm` when `imm` fits 12 signed bits, otherwise `lui` + `addi`. The
+/// assembler and the code generators share this one expansion.
+///
+/// # Example
+///
+/// ```
+/// use hisq_isa::{asm::expand_li, Assembler, Reg};
+///
+/// let t6 = Reg::T6;
+/// let program = Assembler::new().assemble("li t6, 100000").unwrap();
+/// assert!(expand_li(t6, 100_000).eq(program.insts().iter().copied()));
+/// assert_eq!(expand_li(t6, 30).count(), 1);
+/// ```
+pub fn expand_li(rd: Reg, imm: i32) -> impl Iterator<Item = Inst> {
+    let addi = |rs1, imm| Inst::OpImm {
+        op: AluOp::Add,
+        rd,
+        rs1,
+        imm,
+    };
+    let (lui, addi) = if fits_i12(i64::from(imm)) {
+        (None, addi(Reg::X0, imm))
+    } else {
+        let (hi, lo) = split_li(imm);
+        (Some(Inst::Lui { rd, imm20: hi }), addi(rd, lo))
+    };
+    lui.into_iter().chain(std::iter::once(addi))
+}
+
 impl Stmt {
     /// Number of concrete instructions this statement expands to.
     fn expanded_len(&self) -> usize {
@@ -571,24 +601,8 @@ impl Stmt {
                 if !(i64::from(i32::MIN)..=i64::from(u32::MAX)).contains(&imm) {
                     return Err(self.err(format!("`li` immediate {imm} out of 32-bit range")));
                 }
-                let imm = imm as i32;
-                if fits_i12(i64::from(imm)) {
-                    Inst::OpImm {
-                        op: AluOp::Add,
-                        rd,
-                        rs1: Reg::X0,
-                        imm,
-                    }
-                } else {
-                    let (hi, lo) = split_li(imm);
-                    out.push(Inst::Lui { rd, imm20: hi });
-                    Inst::OpImm {
-                        op: AluOp::Add,
-                        rd,
-                        rs1: rd,
-                        imm: lo,
-                    }
-                }
+                out.extend(expand_li(rd, imm as i32));
+                return Ok(());
             }
             "waiti" => {
                 self.expect_len(1)?;

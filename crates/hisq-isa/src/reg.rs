@@ -38,6 +38,20 @@ const ABI_NAMES: [&str; 32] = [
 impl Reg {
     /// The hard-wired zero register `x0`.
     pub const X0: Reg = Reg(0);
+    /// Temporary `t0` (`x5`).
+    pub const T0: Reg = Reg(5);
+    /// Temporary `t1` (`x6`).
+    pub const T1: Reg = Reg(6);
+    /// Temporary `t2` (`x7`).
+    pub const T2: Reg = Reg(7);
+    /// Temporary `t3` (`x28`).
+    pub const T3: Reg = Reg(28);
+    /// Temporary `t4` (`x29`).
+    pub const T4: Reg = Reg(29);
+    /// Temporary `t5` (`x30`).
+    pub const T5: Reg = Reg(30);
+    /// Temporary `t6` (`x31`).
+    pub const T6: Reg = Reg(31);
 
     /// Creates a register from its index, returning `None` if out of range.
     pub fn new(index: u8) -> Option<Reg> {
@@ -141,6 +155,22 @@ mod tests {
         assert_eq!(Reg::parse("a0"), Reg::new(10));
         assert_eq!(Reg::parse("t6"), Reg::new(31));
         assert!(Reg::parse("q0").is_none());
+    }
+
+    #[test]
+    fn temporary_constants_match_their_abi_names() {
+        let temps = [
+            Reg::T0,
+            Reg::T1,
+            Reg::T2,
+            Reg::T3,
+            Reg::T4,
+            Reg::T5,
+            Reg::T6,
+        ];
+        for (i, reg) in temps.into_iter().enumerate() {
+            assert_eq!(Reg::parse(&format!("t{i}")), Some(reg));
+        }
     }
 
     #[test]

@@ -69,7 +69,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         base_report.makespan_ns as f64 / report.makespan_ns as f64
     );
 
-    // Peek at one generated controller program.
+    // Peek at one generated controller program: the disassembler's
+    // listing, with `x`-register names and numeric branch offsets.
     println!("\ngenerated HISQ program for the control qubit's controller:");
     println!("{}", bisp.sources[&0]);
     Ok(())
